@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use satmapit_cgra::Cgra;
-use satmapit_core::{Mapper, MapperConfig};
+use satmapit_core::Mapper;
 use satmapit_engine::{map_raced, Engine, EngineConfig, Job};
 
 fn bench_suite_sequential_vs_engine(c: &mut Criterion) {
@@ -80,56 +80,6 @@ fn bench_single_kernel_modes(c: &mut Criterion) {
     group.finish();
 }
 
-/// The incremental-vs-scratch II-ladder ablation: one live solver with
-/// assumption-gated per-II clause groups against the paper's re-encode /
-/// re-solve loop. Measured on the 2x2 mesh — the constrained regime where
-/// ladders are longest (the paper's Fig. 6 hard column) — both over the
-/// multi-rung kernels (those whose search climbs through UNSAT rungs) and
-/// over the whole 11-kernel suite.
-fn bench_incremental_vs_scratch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ladder_2x2");
-    group.sample_size(10);
-    let multi_rung = ["sha", "gsm", "bitcount", "stringsearch"];
-    for (label, incremental) in [("scratch", false), ("incremental", true)] {
-        let config = MapperConfig {
-            incremental,
-            ..MapperConfig::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("multi_rung_total", label),
-            &config,
-            |b, config| {
-                b.iter(|| {
-                    for name in multi_rung {
-                        let kernel = satmapit_kernels::by_name(name).unwrap();
-                        let cgra = Cgra::square(2);
-                        let outcome = Mapper::new(&kernel.dfg, &cgra)
-                            .with_config(config.clone())
-                            .run();
-                        assert!(outcome.ii().is_some(), "{name}");
-                    }
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("suite_total", label),
-            &config,
-            |b, config| {
-                b.iter(|| {
-                    for kernel in satmapit_kernels::all() {
-                        let cgra = Cgra::square(2);
-                        let outcome = Mapper::new(&kernel.dfg, &cgra)
-                            .with_config(config.clone())
-                            .run();
-                        assert!(outcome.ii().is_some(), "{}", kernel.name());
-                    }
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_cache_hit_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_cache");
     let kernel = satmapit_kernels::by_name("srand").unwrap();
@@ -150,7 +100,6 @@ criterion_group!(
     benches,
     bench_suite_sequential_vs_engine,
     bench_single_kernel_modes,
-    bench_incremental_vs_scratch,
     bench_cache_hit_path
 );
 criterion_main!(benches);

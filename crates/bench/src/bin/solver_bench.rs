@@ -1,6 +1,7 @@
-//! The SAT-core ablation bench: incremental vs scratch II ladders, arena
-//! GC on/off, rung-aware phase transfer on/off, a SAT-vs-morph backend
-//! head-to-head on every grid (`ladder_latency_us.<grid>.<backend>`),
+//! The SAT-core ablation bench: the live II ladder with arena GC on/off
+//! (the scratch-loop and transfer-off columns were retired with their
+//! options; `docs/solver.md` records their final numbers), a SAT-vs-morph
+//! backend head-to-head on every grid (`ladder_latency_us.<grid>.<backend>`),
 //! and the arena-waste measurement after a full multi-rung ladder —
 //! emitted as machine-readable JSON (`BENCH_solver.json`) so CI and the
 //! bench trajectory can track the solver hot path across PRs.
@@ -27,8 +28,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The kernels whose 2x2/3x3 searches climb through UNSAT rungs before
-/// mapping — the regime where the incremental ladder (and its GC) earns
-/// or loses its keep.
+/// mapping — the regime where the live ladder's GC earns or loses its
+/// keep.
 const MULTI_RUNG: [&str; 4] = ["sha", "gsm", "bitcount", "stringsearch"];
 
 fn multi_rung_kernels() -> Vec<Kernel> {
@@ -141,13 +142,6 @@ fn variants() -> Vec<Variant> {
     let base = MapperConfig::default();
     vec![
         Variant {
-            label: "scratch",
-            config: MapperConfig {
-                incremental: false,
-                ..base.clone()
-            },
-        },
-        Variant {
             label: "incremental",
             config: base.clone(),
         },
@@ -158,20 +152,13 @@ fn variants() -> Vec<Variant> {
                     gc: false,
                     ..Default::default()
                 },
-                ..base.clone()
-            },
-        },
-        Variant {
-            label: "incremental_no_transfer",
-            config: MapperConfig {
-                rung_transfer: false,
                 ..base
             },
         },
     ]
 }
 
-/// Drives one full incremental ladder by hand (rung after rung until the
+/// Drives one full live ladder by hand (rung after rung until the
 /// kernel maps) and reports the live solver's arena occupancy afterwards —
 /// the number the GC exists to bound.
 fn arena_after_ladder(kernel: &Kernel, cgra: &Cgra) -> (u32, satmapit_sat::SolverStats) {

@@ -26,11 +26,23 @@
 //!   solving ([`AttemptReport::proven_unmappable`]).
 //!
 //! Because the prefix shares no variables with any per-II delta, its
-//! verdict is a per-session constant; [`crate::Mapper::prepare`]
-//! pre-solves it once so that one-shot [`PreparedMapper::attempt_ii`]
-//! calls — and the parallel II-race in `satmapit-engine`, whose rungs
-//! solve concurrently and cannot share one solver — get the
-//! unmappability signal without carrying any of the gated machinery.
+//! verdict is a per-session constant;
+//! [`PreparedMapper::proven_unmappable`] probes it lazily, once per
+//! session, so that one-shot [`PreparedMapper::attempt_ii`] calls — and
+//! the parallel II-race in `satmapit-engine`, whose rungs solve
+//! concurrently and cannot share one solver — get the unmappability
+//! signal without carrying any of the gated machinery.
+//!
+//! Both entry points run the same rung body, `solve_rung`: solve →
+//! decode → validate → allocate registers → cut and re-solve. They differ
+//! only in where the solver comes from — the ladder's live solver behind
+//! a rung gate, or a fresh solver per attempt. Whenever the search is
+//! complete — no [`crate::MapperConfig::max_conflicts_per_ii`] budget and
+//! no exhausted register-allocation retry loop — the live ladder returns
+//! the same best II as a fresh solver per II, the paper's scratch loop
+//! (pinned by `tests/engine_agreement.rs`); under give-up budgets the two
+//! may abandon different rungs, exactly as two differently-seeded scratch
+//! runs may.
 //!
 //! Soundness: the prefix only states facts true of every valid mapping at
 //! every II (each node executes on exactly one PE; dependent nodes are
@@ -42,7 +54,7 @@
 //! slower across the 11-kernel suite than letting the prefix act purely
 //! through top-level propagation and core analysis; see `attempt_gated`.
 
-use crate::encoder::{EncodeError, EncodeStats};
+use crate::encoder::EncodeError;
 use crate::mapper::{
     AttemptOutcome, AttemptReport, IiAttempt, MapFailure, MappedLoop, PreparedMapper,
 };
@@ -255,14 +267,7 @@ pub(crate) fn attempt_gated(
     limits: &SolveLimits,
 ) -> Result<GatedAttempt, MapFailure> {
     let t_ii = Instant::now();
-    let config = &prepared.config;
-    let kms = Kms::build_with_slack(&prepared.ms, ii, config.slack.slack(ii));
-    let options = crate::encoder::EncodeOptions {
-        amo: config.amo,
-        register_pressure: config.register_pressure,
-    };
-    let enc = crate::encoder::encode_with_options(prepared.dfg, prepared.cgra, &kms, options)
-        .map_err(MapFailure::Structural)?;
+    let (kms, enc) = prepared.encode_rung(ii)?;
 
     let base = solver.num_vars() as u32;
     solver.ensure_vars(base as usize + enc.formula.num_vars());
@@ -291,15 +296,15 @@ pub(crate) fn attempt_gated(
 
     // Rung-aware heuristic hygiene: seed this rung's saved phases and
     // VSIDS activities from the previous rung's semantically
-    // corresponding variables before the first solve.
-    if config.rung_transfer {
-        if let Some(prev) = prev_rung {
-            let pairs = rung_transfer_pairs(prev, &enc.varmap, base);
-            solver.on_rung_advance(&pairs, RUNG_ACTIVITY_SCALE);
-        }
+    // corresponding variables before the first solve — same node, same
+    // unfolded schedule slot, same PE. Answer-preserving: it only steers
+    // the search order, like a phase seed.
+    if let Some(prev) = prev_rung {
+        let pairs = rung_transfer_pairs(prev, &enc.varmap, base);
+        solver.on_rung_advance(&pairs, RUNG_ACTIVITY_SCALE);
     }
 
-    let result = solve_rung(prepared, solver, &enc, &kms, gate, base, limits, t_ii);
+    let result = solve_rung(prepared, solver, &enc, &kms, Some(gate), base, limits, t_ii);
     Ok(GatedAttempt {
         result,
         gate,
@@ -308,39 +313,36 @@ pub(crate) fn attempt_gated(
     })
 }
 
-/// The solve / decode / register-allocate loop of one gated rung.
+/// The solve → decode → validate → allocate → cut loop of one rung — the
+/// only one in the workspace. `enc` must already be loaded into `solver`
+/// with its variables shifted up by `base`. With a `gate`, the rung lives
+/// in that assumption-gated clause group of a longer-lived solver: solves
+/// assume the gate, register-allocation cuts join the group, and the
+/// reported effort is the delta over this call. Without one, `solver` was
+/// built for this rung alone: solves run unassumed, cuts are plain
+/// clauses, and the reported effort is the solver's whole life, clause
+/// load included.
 #[allow(clippy::too_many_arguments)] // internal plumbing of one rung
-fn solve_rung(
+pub(crate) fn solve_rung(
     prepared: &PreparedMapper<'_>,
     solver: &mut Solver,
     enc: &crate::encoder::Encoded,
     kms: &Kms,
-    gate: Lit,
+    gate: Option<Lit>,
     base: u32,
     limits: &SolveLimits,
     t_ii: Instant,
 ) -> Result<AttemptReport, MapFailure> {
     let config = &prepared.config;
     let ii = kms.ii();
-    let mut shifted: Vec<Lit> = Vec::new();
-    let stats_before = solver.stats().clone();
-    let make_attempt = |outcome: AttemptOutcome,
-                        solver_stats: Option<SolverStats>,
-                        cuts: u32,
-                        encode_stats: EncodeStats| IiAttempt {
-        ii,
-        encode_stats,
-        outcome,
-        solver_stats,
-        ra_cuts: cuts,
-        elapsed: t_ii.elapsed(),
+    let stats_before = match gate {
+        Some(_) => solver.stats().clone(),
+        None => SolverStats::default(),
     };
-
     let mut cuts = 0u32;
     let mut last_ra_error = None;
-    loop {
-        let solve_result = solver.solve_limited(&[gate], limits);
-        match solve_result {
+    let (outcome, mapped, proven_unmappable) = loop {
+        match solver.solve_limited(gate.as_slice(), limits) {
             SolveResult::Sat => {
                 let model = solver.model().expect("SAT result has a model");
                 let delta_model = &model[base as usize..];
@@ -358,91 +360,72 @@ fn solve_rung(
                     config.regalloc_budget,
                 ) {
                     Ok(registers) => {
-                        let stats = stats_delta(solver.stats(), &stats_before);
-                        return Ok(AttemptReport {
-                            attempt: make_attempt(
-                                AttemptOutcome::Mapped,
-                                Some(stats),
-                                cuts,
-                                enc.stats.clone(),
-                            ),
-                            mapped: Some(MappedLoop {
-                                mapping,
-                                registers,
-                                mii: prepared.mii,
-                            }),
-                            proven_unmappable: false,
-                        });
+                        let mapped = MappedLoop {
+                            mapping,
+                            registers,
+                            mii: prepared.mii,
+                        };
+                        break (AttemptOutcome::Mapped, Some(mapped), false);
                     }
+                    // Cut the failing PE's configuration and re-solve
+                    // (warm solver).
                     Err(e) if cuts < config.ra_cuts => {
-                        let delta_model = delta_model.to_vec();
-                        let cut = prepared.ra_cut_clause(&enc.varmap, &delta_model, &mapping, e.pe);
+                        let cut = prepared.ra_cut_clause(&enc.varmap, delta_model, &mapping, e.pe);
                         debug_assert!(!cut.is_empty());
-                        shifted.clear();
-                        shifted.extend(cut.iter().map(|l| offset_lit(*l, base)));
-                        solver.add_clause_in_group(gate, &shifted);
+                        let cut: Vec<Lit> = cut.iter().map(|l| offset_lit(*l, base)).collect();
+                        match gate {
+                            Some(gate) => solver.add_clause_in_group(gate, &cut),
+                            None => solver.add_clause(&cut),
+                        };
                         cuts += 1;
                         last_ra_error = Some(e);
-                        continue;
                     }
-                    Err(e) => {
-                        let stats = stats_delta(solver.stats(), &stats_before);
-                        return Ok(AttemptReport {
-                            attempt: make_attempt(
-                                AttemptOutcome::RegAllocFailed(e),
-                                Some(stats),
-                                cuts,
-                                enc.stats.clone(),
-                            ),
-                            mapped: None,
-                            proven_unmappable: false,
-                        });
-                    }
+                    Err(e) => break (AttemptOutcome::RegAllocFailed(e), None, false),
                 }
             }
             SolveResult::Unsat => {
                 // An empty failed-assumption core means the contradiction
                 // does not involve this rung's clause group: the permanent
-                // prefix is already unsatisfiable, so *no* II can map.
-                let proven_unmappable = solver.final_conflict().is_empty();
+                // prefix is already unsatisfiable, so *no* II can map. Only
+                // meaningful when a gate was assumed — an unassumed solve
+                // has an empty core on every ordinary UNSAT.
+                let proven_unmappable = gate.is_some() && solver.final_conflict().is_empty();
+                // With cuts, UNSAT means: no register-allocatable mapping
+                // exists at this II.
                 let outcome = match last_ra_error {
                     Some(e) if cuts > 0 => AttemptOutcome::RegAllocFailed(e),
                     _ => AttemptOutcome::Unsat,
                 };
-                let stats = stats_delta(solver.stats(), &stats_before);
-                return Ok(AttemptReport {
-                    attempt: make_attempt(outcome, Some(stats), cuts, enc.stats.clone()),
-                    mapped: None,
-                    proven_unmappable,
-                });
+                break (outcome, None, proven_unmappable);
             }
             SolveResult::Unknown(StopReason::Timeout) => {
                 return Err(MapFailure::Timeout { at_ii: ii });
             }
             SolveResult::Unknown(reason @ (StopReason::ConflictLimit | StopReason::Cancelled)) => {
-                let stats = stats_delta(solver.stats(), &stats_before);
-                return Ok(AttemptReport {
-                    attempt: make_attempt(
-                        AttemptOutcome::SolverBudget(reason),
-                        Some(stats),
-                        cuts,
-                        enc.stats.clone(),
-                    ),
-                    mapped: None,
-                    proven_unmappable: false,
-                });
+                break (AttemptOutcome::SolverBudget(reason), None, false);
             }
         }
-    }
+    };
+    Ok(AttemptReport {
+        attempt: IiAttempt {
+            ii,
+            encode_stats: enc.stats.clone(),
+            outcome,
+            solver_stats: Some(stats_delta(solver.stats(), &stats_before)),
+            ra_cuts: cuts,
+            elapsed: t_ii.elapsed(),
+        },
+        mapped,
+        proven_unmappable,
+    })
 }
 
-/// An incremental II ladder: one live solver answers every candidate II
-/// of a [`PreparedMapper`] session in sequence, carrying learned clauses
+/// The live II ladder: one solver answers every candidate II of a
+/// [`PreparedMapper`] session in sequence, carrying learned clauses
 /// across rungs and retiring each rung's clause group once it is settled.
 ///
-/// Obtained from [`PreparedMapper::ladder`]; used automatically by
-/// [`crate::Mapper::run`] when [`crate::MapperConfig::incremental`] is set
-/// (the default).
+/// Obtained from [`PreparedMapper::ladder`]; [`crate::Mapper::run`] drives
+/// one for every sequential search.
 ///
 /// ```
 /// use satmapit_cgra::Cgra;
@@ -502,7 +485,7 @@ impl<'p, 'a> IiLadder<'p, 'a> {
             solver,
             prefix,
             // A contradictory prefix is known before any rung runs (the
-            // install above, or the one in `prepare`, already hit it).
+            // install above already hit it).
             unmappable: !solver_ok,
             proven_lower_bound: prepared.start_ii(),
             last_rung: None,
@@ -562,13 +545,7 @@ impl<'p, 'a> IiLadder<'p, 'a> {
         ii: u32,
         limits: &SolveLimits,
     ) -> Result<AttemptReport, MapFailure> {
-        if !satmapit_obs::trace::enabled() {
-            return self.attempt_ii_inner(ii, limits);
-        }
-        let start_us = satmapit_obs::trace::now_us();
-        let result = self.attempt_ii_inner(ii, limits);
-        crate::mapper::trace_rung_attempt(ii, start_us, &result);
-        result
+        crate::mapper::traced_rung(ii, || self.attempt_ii_inner(ii, limits))
     }
 
     fn attempt_ii_inner(
@@ -576,42 +553,14 @@ impl<'p, 'a> IiLadder<'p, 'a> {
         ii: u32,
         limits: &SolveLimits,
     ) -> Result<AttemptReport, MapFailure> {
-        let config = &self.prepared.config;
-        if ii == 0 || ii > config.max_ii {
-            return Err(MapFailure::InvalidIi {
-                ii,
-                max_ii: config.max_ii,
-            });
-        }
+        self.prepared.config.check_ii(ii)?;
         let t_ii = Instant::now();
         if self.unmappable {
             // Already proven at an earlier rung; answer without solving.
-            return Ok(AttemptReport {
-                attempt: IiAttempt {
-                    ii,
-                    encode_stats: EncodeStats::default(),
-                    outcome: AttemptOutcome::Unsat,
-                    solver_stats: None,
-                    ra_cuts: 0,
-                    elapsed: t_ii.elapsed(),
-                },
-                mapped: None,
-                proven_unmappable: true,
-            });
+            return Ok(AttemptReport::unmappable(ii, t_ii.elapsed()));
         }
         if limits.stop_requested() {
-            return Ok(AttemptReport {
-                attempt: IiAttempt {
-                    ii,
-                    encode_stats: EncodeStats::default(),
-                    outcome: AttemptOutcome::SolverBudget(StopReason::Cancelled),
-                    solver_stats: None,
-                    ra_cuts: 0,
-                    elapsed: t_ii.elapsed(),
-                },
-                mapped: None,
-                proven_unmappable: false,
-            });
+            return Ok(AttemptReport::cancelled(ii, t_ii.elapsed()));
         }
         // Retire the *previous* rung now, not the current one at exit:
         // deferring the sweep (and the arena collection it feeds) to the

@@ -70,8 +70,8 @@ pub use backend::Backend;
 pub use decode::{decode_model, DecodeError};
 pub use ladder::IiLadder;
 pub use mapper::{
-    map, trace_rung_attempt, AttemptOutcome, AttemptReport, IiAttempt, MapFailure, MapOutcome,
-    MappedLoop, Mapper, MapperConfig, PreparedMapper, SlackPolicy,
+    map, run_ladder, traced_rung, AttemptOutcome, AttemptReport, IiAttempt, MapFailure, MapOutcome,
+    MappedLoop, Mapper, MapperConfig, PreparedMapper, Rungs, SlackPolicy,
 };
 pub use mapping::{Mapping, Placement, TransferKind};
 pub use regs::{allocate_registers, live_values};

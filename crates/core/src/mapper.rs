@@ -1,16 +1,13 @@
 //! The iterative mapping loop (paper Fig. 3): starting at MII, encode the
 //! KMS constraints, solve, register-allocate, and increase II on failure.
 
-use crate::decode::decode_model;
 use crate::encoder::{EncodeError, EncodeStats};
 use crate::mapping::{Mapping, TransferKind};
-use crate::regs::allocate_registers;
-use crate::validate::validate_mapping;
 use satmapit_cgra::Cgra;
 use satmapit_dfg::{Dfg, DfgError};
 use satmapit_regalloc::{RegAllocError, RegAllocation};
 use satmapit_sat::encode::AmoEncoding;
-use satmapit_sat::{SolveLimits, SolveResult, Solver, SolverOptions, SolverStats, StopReason};
+use satmapit_sat::{SolveLimits, Solver, SolverOptions, SolverStats, StopReason};
 use satmapit_schedule::{mii, Kms, MobilitySchedule};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -79,28 +76,24 @@ pub struct MapperConfig {
     /// the canonical solver; `satmapit-engine` races variations of these
     /// in its portfolio mode.
     pub solver: SolverOptions,
-    /// Solve the II ladder incrementally (the default): every attempt
-    /// carries an II-invariant PE-level prefix whose learned clauses and
-    /// UNSAT cores transfer across candidate IIs, the sequential search
-    /// keeps one live solver for the whole ladder (see
-    /// [`PreparedMapper::ladder`]), and an UNSAT core that does not touch
-    /// the per-II clause group proves the loop unmappable at *every* II,
-    /// letting the remaining rungs be skipped without solving. `false`
-    /// reproduces the paper's scratch loop exactly: each II re-encodes and
-    /// re-solves from nothing. Whenever the search is complete — no
-    /// [`MapperConfig::max_conflicts_per_ii`] budget and no exhausted
-    /// register-allocation retry loop — both modes return the same best
-    /// II (pinned by `tests/engine_agreement.rs`). Under giveup budgets
-    /// the two modes may abandon different rungs, exactly as two
-    /// differently-seeded scratch runs may.
-    pub incremental: bool,
-    /// Rung-aware heuristic transfer (incremental ladders only, default
-    /// on): when the ladder advances from II to the next candidate, the
-    /// new rung's variables inherit the saved phases and VSIDS
-    /// activities of the previous rung's semantically corresponding
-    /// variables — same node, same unfolded schedule slot, same PE. Answer-preserving: it only steers the search order, like
-    /// a phase seed. `false` starts every rung's heuristics cold.
-    pub rung_transfer: bool,
+}
+
+impl MapperConfig {
+    /// Candidate IIs must lie in `1..=max_ii` (II = 0 has no kernel and
+    /// would underflow the `FullWheel` slack computation).
+    ///
+    /// # Errors
+    ///
+    /// [`MapFailure::InvalidIi`] for anything outside that range.
+    pub fn check_ii(&self, ii: u32) -> Result<(), MapFailure> {
+        if ii == 0 || ii > self.max_ii {
+            return Err(MapFailure::InvalidIi {
+                ii,
+                max_ii: self.max_ii,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for MapperConfig {
@@ -116,8 +109,6 @@ impl Default for MapperConfig {
             ra_cuts: 200,
             register_pressure: true,
             solver: SolverOptions::default(),
-            incremental: true,
-            rung_transfer: true,
         }
     }
 }
@@ -310,125 +301,113 @@ impl<'a> Mapper<'a> {
         })
     }
 
-    /// Runs the iterative search of paper Fig. 3.
+    /// Runs the iterative search of paper Fig. 3 on one live solver: the
+    /// whole ladder shares an [`crate::ladder::IiLadder`], so learned
+    /// clauses carry across candidate IIs and an UNSAT core confined to
+    /// the II-invariant prefix ends the search immediately.
     pub fn run(&self) -> MapOutcome {
-        if !satmapit_obs::trace::enabled() {
-            return self.run_inner();
+        run_ladder(
+            format_args!("ladder {}", self.dfg.name()),
+            &self.config,
+            |rungs| {
+                let prepared = self.prepare()?;
+                let mut ladder = prepared.ladder()?;
+                rungs.climb(prepared.start_ii(), |ii, limits| {
+                    ladder.attempt_ii(ii, limits)
+                })
+            },
+        )
+    }
+}
+
+/// The rungs of one sequential II search in progress: the per-II trace
+/// collected so far plus the budgets every rung runs under. Handed to the
+/// session closure of [`run_ladder`].
+#[derive(Debug)]
+pub struct Rungs {
+    max_ii: u32,
+    /// What every rung runs under: the search's wall-clock deadline and
+    /// the configured per-II conflict budget.
+    limits: SolveLimits,
+    attempts: Vec<IiAttempt>,
+}
+
+impl Rungs {
+    /// The II loop of paper Fig. 3: calls `attempt` on `start_ii`,
+    /// `start_ii + 1`, … until a rung maps, proves the loop unmappable at
+    /// every II, fails terminally, the wall-clock budget runs out, or II
+    /// passes [`MapperConfig::max_ii`]. Every rung runs under the
+    /// remaining deadline and the configured per-II conflict budget.
+    ///
+    /// # Errors
+    ///
+    /// The terminal failure that ended the search without a mapping.
+    pub fn climb(
+        &mut self,
+        start_ii: u32,
+        mut attempt: impl FnMut(u32, &SolveLimits) -> Result<AttemptReport, MapFailure>,
+    ) -> Result<MappedLoop, MapFailure> {
+        let mut ii = start_ii;
+        while ii <= self.max_ii {
+            if self.limits.deadline.is_some_and(|dl| Instant::now() >= dl) {
+                return Err(MapFailure::Timeout { at_ii: ii });
+            }
+            let report = attempt(ii, &self.limits)?;
+            self.attempts.push(report.attempt);
+            if let Some(mapped) = report.mapped {
+                return Ok(mapped);
+            }
+            if report.proven_unmappable {
+                // The contradiction is II-invariant: no II can map. Skip
+                // the remaining rungs; the answer is exactly what grinding
+                // them out one by one would reach.
+                break;
+            }
+            ii += 1;
         }
-        let mut span = satmapit_obs::trace::Span::begin(
-            satmapit_obs::trace::Category::Ladder,
-            &format!("ladder {}", self.dfg.name()),
-        );
-        let outcome = self.run_inner();
-        span.arg("rungs", outcome.attempts.len() as i64);
-        match &outcome.result {
+        Err(MapFailure::IiCapReached { cap: self.max_ii })
+    }
+}
+
+/// The one sequential driver behind every backend's `run`: starts the
+/// clock (the wall-clock budget covers preparation too), opens the
+/// `ladder` trace span under `span_name`, runs `session` — which prepares
+/// its backend and then [`Rungs::climb`]s with its per-rung attempt — and
+/// packages the result with the per-II trace. The span records the rung
+/// count and the final status; with tracing off it costs one atomic load
+/// and `span_name` is never formatted.
+pub fn run_ladder(
+    span_name: fmt::Arguments<'_>,
+    config: &MapperConfig,
+    session: impl FnOnce(&mut Rungs) -> Result<MappedLoop, MapFailure>,
+) -> MapOutcome {
+    use satmapit_obs::trace::{self, Category, Span};
+    let t0 = Instant::now();
+    let mut span = trace::enabled().then(|| Span::begin(Category::Ladder, &span_name.to_string()));
+    let mut rungs = Rungs {
+        max_ii: config.max_ii,
+        limits: SolveLimits {
+            max_conflicts: config.max_conflicts_per_ii,
+            deadline: config.timeout.map(|d| t0 + d),
+            ..SolveLimits::none()
+        },
+        attempts: Vec::new(),
+    };
+    let result = session(&mut rungs);
+    if let Some(span) = &mut span {
+        span.arg("rungs", rungs.attempts.len() as i64);
+        match &result {
             Ok(mapped) => {
                 span.arg_str("status", "mapped");
                 span.arg("ii", i64::from(mapped.mapping.ii));
             }
             Err(failure) => span.arg_str("status", failure_label(failure)),
         }
-        outcome
     }
-
-    fn run_inner(&self) -> MapOutcome {
-        let t0 = Instant::now();
-        let deadline = self.config.timeout.map(|d| t0 + d);
-        let mut attempts = Vec::new();
-
-        let prepared = match self.prepare() {
-            Ok(p) => p,
-            Err(e) => {
-                return MapOutcome {
-                    result: Err(e),
-                    attempts,
-                    elapsed: t0.elapsed(),
-                };
-            }
-        };
-
-        // Incremental mode keeps one live solver for the whole ladder:
-        // learned clauses carry across candidate IIs and an UNSAT core
-        // confined to the II-invariant prefix ends the search immediately.
-        let mut ladder = if self.config.incremental {
-            match prepared.ladder() {
-                Ok(l) => Some(l),
-                Err(e) => {
-                    return MapOutcome {
-                        result: Err(e),
-                        attempts,
-                        elapsed: t0.elapsed(),
-                    };
-                }
-            }
-        } else {
-            None
-        };
-
-        let mut ii = prepared.start_ii();
-        while ii <= self.config.max_ii {
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    return MapOutcome {
-                        result: Err(MapFailure::Timeout { at_ii: ii }),
-                        attempts,
-                        elapsed: t0.elapsed(),
-                    };
-                }
-            }
-            let mut limits = SolveLimits::none();
-            if let Some(dl) = deadline {
-                limits = limits.with_deadline(dl);
-            }
-            if let Some(c) = self.config.max_conflicts_per_ii {
-                limits = limits.with_max_conflicts(c);
-            }
-            let attempt_result = match &mut ladder {
-                Some(ladder) => ladder.attempt_ii(ii, &limits),
-                None => prepared.attempt_ii(ii, &limits),
-            };
-            match attempt_result {
-                Err(e) => {
-                    return MapOutcome {
-                        result: Err(e),
-                        attempts,
-                        elapsed: t0.elapsed(),
-                    };
-                }
-                Ok(report) => {
-                    let mapped = report.mapped;
-                    let unmappable = report.proven_unmappable;
-                    attempts.push(report.attempt);
-                    if let Some(m) = mapped {
-                        return MapOutcome {
-                            result: Ok(m),
-                            attempts,
-                            elapsed: t0.elapsed(),
-                        };
-                    }
-                    if unmappable {
-                        // The UNSAT core avoided the per-II group: no II
-                        // can map. Skip the remaining rungs; the answer is
-                        // exactly what the scratch ladder would grind out.
-                        return MapOutcome {
-                            result: Err(MapFailure::IiCapReached {
-                                cap: self.config.max_ii,
-                            }),
-                            attempts,
-                            elapsed: t0.elapsed(),
-                        };
-                    }
-                }
-            }
-            ii += 1;
-        }
-        MapOutcome {
-            result: Err(MapFailure::IiCapReached {
-                cap: self.config.max_ii,
-            }),
-            attempts,
-            elapsed: t0.elapsed(),
-        }
+    MapOutcome {
+        result,
+        attempts: rungs.attempts,
+        elapsed: t0.elapsed(),
     }
 }
 
@@ -442,13 +421,50 @@ pub struct AttemptReport {
     /// `true` when the UNSAT core of this attempt did not touch the per-II
     /// clause group: the contradiction lives entirely in the II-invariant
     /// PE-level prefix, so **every** candidate II is infeasible and the
-    /// remaining ladder rungs can be skipped without solving. Only the
-    /// incremental formulation ([`MapperConfig::incremental`]) can set
-    /// this; the scratch path always reports `false`.
+    /// remaining ladder rungs can be skipped without solving. Only a
+    /// solve that assumed a rung gate (or the precomputed prefix probe,
+    /// [`PreparedMapper::proven_unmappable`]) can establish this; an
+    /// ordinary `Unsat` leaves it `false`.
     pub proven_unmappable: bool,
 }
 
 impl AttemptReport {
+    /// The report of an attempt abandoned before any work because the
+    /// stop flag in its limits was already raised:
+    /// `SolverBudget(Cancelled)`, no encoding, no solver effort.
+    pub fn cancelled(ii: u32, elapsed: Duration) -> AttemptReport {
+        AttemptReport::unsolved(
+            ii,
+            AttemptOutcome::SolverBudget(StopReason::Cancelled),
+            elapsed,
+        )
+    }
+
+    /// The report of an attempt answered without solving because the loop
+    /// is already proven unmappable at every II: `Unsat` with
+    /// [`AttemptReport::proven_unmappable`] set.
+    pub fn unmappable(ii: u32, elapsed: Duration) -> AttemptReport {
+        AttemptReport {
+            proven_unmappable: true,
+            ..AttemptReport::unsolved(ii, AttemptOutcome::Unsat, elapsed)
+        }
+    }
+
+    fn unsolved(ii: u32, outcome: AttemptOutcome, elapsed: Duration) -> AttemptReport {
+        AttemptReport {
+            attempt: IiAttempt {
+                ii,
+                encode_stats: EncodeStats::default(),
+                outcome,
+                solver_stats: None,
+                ra_cuts: 0,
+                elapsed,
+            },
+            mapped: None,
+            proven_unmappable: false,
+        }
+    }
+
     /// `true` when this II is settled: it either mapped or was proven /
     /// declared unmappable (UNSAT, register-allocation giveup, conflict
     /// budget). Cancelled attempts are *not* definitive — the candidate II
@@ -473,23 +489,28 @@ pub(crate) fn failure_label(failure: &MapFailure) -> &'static str {
     }
 }
 
-/// Records the `rung` span for one finished II attempt — outcome plus
-/// the solver-effort deltas (conflicts / propagations / restarts / GC /
+/// Runs one II attempt under a `rung` span: outcome plus the
+/// solver-effort deltas (conflicts / propagations / restarts / GC /
 /// sharing) — and, when those deltas are nonzero, companion `gc` and
 /// `share` instants so the categories are filterable on the timeline.
-/// Shared by the one-shot [`PreparedMapper::attempt_ii`], the
-/// incremental [`crate::ladder::IiLadder::attempt_ii`], and out-of-crate
+/// Shared by the one-shot [`PreparedMapper::attempt_ii`], the live
+/// [`crate::ladder::IiLadder::attempt_ii`], and out-of-crate
 /// [`crate::backend::Backend`] implementations (so every backend's rungs
 /// render identically on the timeline). One atomic load when tracing is
 /// off.
-pub fn trace_rung_attempt(ii: u32, start_us: u64, result: &Result<AttemptReport, MapFailure>) {
+pub fn traced_rung(
+    ii: u32,
+    attempt: impl FnOnce() -> Result<AttemptReport, MapFailure>,
+) -> Result<AttemptReport, MapFailure> {
     use satmapit_obs::trace::{self, ArgValue, Category};
     if !trace::enabled() {
-        return;
+        return attempt();
     }
+    let start_us = trace::now_us();
+    let result = attempt();
     let end_us = trace::now_us();
     let mut args: Vec<(&'static str, ArgValue)> = vec![("ii", ArgValue::Int(i64::from(ii)))];
-    let outcome = match result {
+    let outcome = match &result {
         Ok(report) => match &report.attempt.outcome {
             AttemptOutcome::Mapped => "mapped",
             AttemptOutcome::RegAllocFailed(_) => "regalloc_failed",
@@ -502,7 +523,7 @@ pub fn trace_rung_attempt(ii: u32, start_us: u64, result: &Result<AttemptReport,
         Err(failure) => failure_label(failure),
     };
     args.push(("outcome", ArgValue::Str(outcome.to_string())));
-    let stats = match result {
+    let stats = match &result {
         Ok(report) => {
             args.push(("ra_cuts", ArgValue::Int(i64::from(report.attempt.ra_cuts))));
             report.attempt.solver_stats.as_ref()
@@ -558,6 +579,7 @@ pub fn trace_rung_attempt(ii: u32, start_us: u64, result: &Result<AttemptReport,
             );
         }
     }
+    result
 }
 
 /// A validated mapping session: the DFG's mobility schedule and MII are
@@ -588,8 +610,8 @@ pub struct PreparedMapper<'a> {
     pub(crate) config: MapperConfig,
     pub(crate) ms: MobilitySchedule,
     pub(crate) mii: u32,
-    /// The lazily pre-solved verdict of the II-invariant PE-level prefix
-    /// (queried under incremental mode only): `true` means no II can map.
+    /// The lazily pre-solved verdict of the II-invariant PE-level prefix:
+    /// `true` means no II can map.
     /// Lazy so the sequential ladder — which installs the prefix in its
     /// own live solver anyway — never pays for a second build; the
     /// one-shot race path probes it once and shares the cached verdict
@@ -605,17 +627,13 @@ impl<'a> PreparedMapper<'a> {
 
     /// `true` when the loop is proven unmappable at *every* II: the
     /// II-invariant PE-level prefix is contradictory. Computed on first
-    /// use (and only under [`MapperConfig::incremental`] — the paper's
-    /// scratch loop must grind the ladder itself); it shares no variables
-    /// with any per-II delta, so the verdict is a per-session constant.
-    /// Drivers can skip the whole ladder.
+    /// use; it shares no variables with any per-II delta, so the verdict
+    /// is a per-session constant. Drivers can skip the whole ladder.
     pub fn proven_unmappable(&self) -> bool {
-        self.config.incremental
-            && *self.prefix_unsat.get_or_init(|| {
-                let mut probe = Solver::new();
-                crate::ladder::install_prefix(&mut probe, self.dfg, self.cgra).is_ok()
-                    && !probe.is_ok()
-            })
+        *self.prefix_unsat.get_or_init(|| {
+            let mut probe = Solver::new();
+            crate::ladder::install_prefix(&mut probe, self.dfg, self.cgra).is_ok() && !probe.is_ok()
+        })
     }
 
     /// The first II the search considers (configured start or MII).
@@ -635,7 +653,7 @@ impl<'a> PreparedMapper<'a> {
         self
     }
 
-    /// Opens an incremental II ladder over this session: one live solver
+    /// Opens the live II ladder over this session: one solver
     /// answers every candidate II, carrying learned clauses (and the
     /// II-invariant PE-level prefix) across rungs. See
     /// [`crate::ladder::IiLadder`].
@@ -663,9 +681,12 @@ impl<'a> PreparedMapper<'a> {
     /// `AttemptOutcome::SolverBudget(StopReason::Cancelled)` — is an `Ok`
     /// report.
     ///
-    /// Under [`MapperConfig::incremental`] (the default), preparation
-    /// pre-solved the II-invariant PE-level prefix of [`crate::ladder`];
-    /// if it is contradictory, the attempt answers `Unsat` with
+    /// Every attempt builds a fresh solver of its own — which is what
+    /// lets race lanes attempt different IIs of one session concurrently,
+    /// and makes a plain loop over this method the paper's scratch ladder.
+    /// The II-invariant PE-level prefix of [`crate::ladder`] is probed
+    /// once per session ([`PreparedMapper::proven_unmappable`]); if it is
+    /// contradictory, the attempt answers `Unsat` with
     /// [`AttemptReport::proven_unmappable`] set *without building a
     /// formula* — every II is infeasible. (The prefix shares no variables
     /// with any per-II encoding, so per-attempt core analysis could never
@@ -673,54 +694,47 @@ impl<'a> PreparedMapper<'a> {
     /// [`PreparedMapper::ladder`] derives the same fact through its
     /// failed-assumption cores.)
     pub fn attempt_ii(&self, ii: u32, limits: &SolveLimits) -> Result<AttemptReport, MapFailure> {
-        if !satmapit_obs::trace::enabled() {
-            return self.attempt_ii_inner(ii, limits);
-        }
-        let start_us = satmapit_obs::trace::now_us();
-        let result = self.attempt_ii_inner(ii, limits);
-        trace_rung_attempt(ii, start_us, &result);
-        result
+        traced_rung(ii, || self.attempt_ii_inner(ii, limits))
     }
 
     fn attempt_ii_inner(&self, ii: u32, limits: &SolveLimits) -> Result<AttemptReport, MapFailure> {
-        if ii == 0 || ii > self.config.max_ii {
-            return Err(MapFailure::InvalidIi {
-                ii,
-                max_ii: self.config.max_ii,
-            });
-        }
+        self.config.check_ii(ii)?;
         let t_ii = Instant::now();
         // An already-raised stop flag makes the whole attempt moot; bail
         // before paying for the KMS fold and the CNF encoding (the solver
         // checks again before searching, covering the encode window).
         if limits.stop_requested() {
-            return Ok(AttemptReport {
-                attempt: IiAttempt {
-                    ii,
-                    encode_stats: EncodeStats::default(),
-                    outcome: AttemptOutcome::SolverBudget(StopReason::Cancelled),
-                    solver_stats: None,
-                    ra_cuts: 0,
-                    elapsed: t_ii.elapsed(),
-                },
-                mapped: None,
-                proven_unmappable: false,
-            });
+            return Ok(AttemptReport::cancelled(ii, t_ii.elapsed()));
         }
         if self.proven_unmappable() {
-            return Ok(AttemptReport {
-                attempt: IiAttempt {
-                    ii,
-                    encode_stats: EncodeStats::default(),
-                    outcome: AttemptOutcome::Unsat,
-                    solver_stats: None,
-                    ra_cuts: 0,
-                    elapsed: t_ii.elapsed(),
-                },
-                mapped: None,
-                proven_unmappable: true,
-            });
+            return Ok(AttemptReport::unmappable(ii, t_ii.elapsed()));
         }
+        let (kms, enc) = self.encode_rung(ii)?;
+        let mut solver = Solver::from_cnf_with(&enc.formula, &self.config.solver);
+        // Portfolio learnt-clause sharing: the engine's race hands each
+        // sibling a handle through the limits; connect it under the
+        // compatibility class of the exact CNF this attempt encoded, so
+        // only siblings with an identical formula (same II, same AMO
+        // encoding, same variable numbering) exchange clauses. The
+        // register-allocation cuts the rung may add automatically disable
+        // this solver's exports (they are local clauses); imports stay
+        // sound.
+        if let Some(share) = &limits.share {
+            let class = satmapit_sat::formula_class(&enc.formula);
+            solver.connect_share(share.clone(), class);
+        }
+        // A solver of its own, nothing ahead of the encoding in it: no
+        // gate, variable base 0.
+        crate::ladder::solve_rung(self, &mut solver, &enc, &kms, None, 0, limits, t_ii)
+    }
+
+    /// Folds the mobility schedule at `ii` and encodes C1–C4 over it — the
+    /// front half of every rung, whichever solver then receives the
+    /// clauses.
+    pub(crate) fn encode_rung(
+        &self,
+        ii: u32,
+    ) -> Result<(Kms, crate::encoder::Encoded), MapFailure> {
         let kms = Kms::build_with_slack(&self.ms, ii, self.config.slack.slack(ii));
         let options = crate::encoder::EncodeOptions {
             amo: self.config.amo,
@@ -728,124 +742,7 @@ impl<'a> PreparedMapper<'a> {
         };
         let enc = crate::encoder::encode_with_options(self.dfg, self.cgra, &kms, options)
             .map_err(MapFailure::Structural)?;
-        let mut solver = Solver::from_cnf_with(&enc.formula, &self.config.solver);
-        // Portfolio learnt-clause sharing: the engine's race hands each
-        // sibling a handle through the limits; connect it under the
-        // compatibility class of the exact CNF this attempt encoded, so
-        // only siblings with an identical formula (same II, same AMO
-        // encoding, same variable numbering) exchange clauses. The
-        // register-allocation cuts added below automatically disable this
-        // solver's exports (they are local clauses); imports stay sound.
-        if let Some(share) = &limits.share {
-            let class = satmapit_sat::formula_class(&enc.formula);
-            solver.connect_share(share.clone(), class);
-        }
-        // Solve at this II; on register-allocation failure, cut the
-        // failing PE's configuration and re-solve (warm solver).
-        let mut cuts = 0u32;
-        let mut last_ra_error = None;
-        loop {
-            let solve_result = solver.solve_limited(&[], limits);
-            match solve_result {
-                SolveResult::Sat => {
-                    let model = solver.model().expect("SAT result has a model");
-                    let mapping = decode_model(self.dfg, &kms, &enc.varmap, model)
-                        .map_err(|e| MapFailure::Internal(e.to_string()))?;
-                    if let Err(violations) = validate_mapping(self.dfg, self.cgra, &mapping) {
-                        return Err(MapFailure::Internal(format!(
-                            "decoded mapping failed validation: {violations:?}"
-                        )));
-                    }
-                    match allocate_registers(
-                        self.dfg,
-                        self.cgra,
-                        &mapping,
-                        self.config.regalloc_budget,
-                    ) {
-                        Ok(registers) => {
-                            return Ok(AttemptReport {
-                                attempt: IiAttempt {
-                                    ii,
-                                    encode_stats: enc.stats,
-                                    outcome: AttemptOutcome::Mapped,
-                                    solver_stats: Some(solver.stats().clone()),
-                                    ra_cuts: cuts,
-                                    elapsed: t_ii.elapsed(),
-                                },
-                                mapped: Some(MappedLoop {
-                                    mapping,
-                                    registers,
-                                    mii: self.mii,
-                                }),
-                                proven_unmappable: false,
-                            });
-                        }
-                        Err(e) if cuts < self.config.ra_cuts => {
-                            let model = solver.model().expect("model").to_vec();
-                            let clause = self.ra_cut_clause(&enc.varmap, &model, &mapping, e.pe);
-                            debug_assert!(!clause.is_empty());
-                            solver.add_clause(&clause);
-                            cuts += 1;
-                            last_ra_error = Some(e);
-                            continue;
-                        }
-                        Err(e) => {
-                            return Ok(AttemptReport {
-                                attempt: IiAttempt {
-                                    ii,
-                                    encode_stats: enc.stats,
-                                    outcome: AttemptOutcome::RegAllocFailed(e),
-                                    solver_stats: Some(solver.stats().clone()),
-                                    ra_cuts: cuts,
-                                    elapsed: t_ii.elapsed(),
-                                },
-                                mapped: None,
-                                proven_unmappable: false,
-                            });
-                        }
-                    }
-                }
-                SolveResult::Unsat => {
-                    // With cuts this means: no register-allocatable
-                    // mapping exists at this II.
-                    let outcome = match last_ra_error {
-                        Some(e) if cuts > 0 => AttemptOutcome::RegAllocFailed(e),
-                        _ => AttemptOutcome::Unsat,
-                    };
-                    return Ok(AttemptReport {
-                        attempt: IiAttempt {
-                            ii,
-                            encode_stats: enc.stats,
-                            outcome,
-                            solver_stats: Some(solver.stats().clone()),
-                            ra_cuts: cuts,
-                            elapsed: t_ii.elapsed(),
-                        },
-                        mapped: None,
-                        proven_unmappable: false,
-                    });
-                }
-                SolveResult::Unknown(StopReason::Timeout) => {
-                    return Err(MapFailure::Timeout { at_ii: ii });
-                }
-                SolveResult::Unknown(
-                    reason @ (StopReason::ConflictLimit | StopReason::Cancelled),
-                ) => {
-                    return Ok(AttemptReport {
-                        attempt: IiAttempt {
-                            ii,
-                            encode_stats: enc.stats,
-                            outcome: AttemptOutcome::SolverBudget(reason),
-                            solver_stats: Some(solver.stats().clone()),
-                            ra_cuts: cuts,
-                            elapsed: t_ii.elapsed(),
-                        },
-                        mapped: None,
-                        proven_unmappable: false,
-                    });
-                }
-            }
-        }
+        Ok((kms, enc))
     }
 
     /// Builds a blocking clause after a register-allocation failure on
@@ -933,6 +830,7 @@ pub fn map(dfg: &Dfg, cgra: &Cgra) -> MapOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::validate_mapping;
     use satmapit_dfg::Op;
 
     fn chain(n: usize) -> Dfg {
@@ -974,13 +872,7 @@ mod tests {
     fn attempts_record_unsat_iis() {
         // A recurrence a->b->c->a on a 1x1: RecMII=3 and everything on one
         // PE. The accumulator cycle forces II=3.
-        let mut dfg = Dfg::new("rec");
-        let a = dfg.add_node(Op::Neg);
-        let b = dfg.add_node(Op::Neg);
-        let c = dfg.add_node(Op::Neg);
-        dfg.add_edge(a, b, 0);
-        dfg.add_edge(b, c, 0);
-        dfg.add_back_edge(c, a, 0, 1, 0);
+        let dfg = recurrence();
         let cgra = Cgra::square(1);
         let outcome = map(&dfg, &cgra);
         assert_eq!(outcome.ii(), Some(3));
@@ -1057,39 +949,27 @@ mod tests {
     fn attempt_ii_rejects_out_of_range_candidates() {
         // Satellite regression: II = 0 used to underflow the FullWheel
         // slack (`ii - 1` on u32) and panic; out-of-range IIs are now a
-        // proper error for both the scratch and the incremental path.
+        // proper error for both the one-shot and the live-ladder path.
         let dfg = chain(3);
         let cgra = Cgra::square(2);
-        for incremental in [false, true] {
-            let config = MapperConfig {
-                incremental,
-                ..MapperConfig::default()
-            };
-            let prepared = Mapper::new(&dfg, &cgra)
-                .with_config(config)
-                .prepare()
-                .unwrap();
-            assert_eq!(
-                prepared.attempt_ii(0, &SolveLimits::none()).unwrap_err(),
-                MapFailure::InvalidIi { ii: 0, max_ii: 50 }
-            );
-            assert_eq!(
-                prepared.attempt_ii(51, &SolveLimits::none()).unwrap_err(),
-                MapFailure::InvalidIi { ii: 51, max_ii: 50 }
-            );
-            let mut ladder = prepared.ladder().unwrap();
-            assert_eq!(
-                ladder.attempt_ii(0, &SolveLimits::none()).unwrap_err(),
-                MapFailure::InvalidIi { ii: 0, max_ii: 50 }
-            );
-        }
+        let prepared = Mapper::new(&dfg, &cgra).prepare().unwrap();
+        assert_eq!(
+            prepared.attempt_ii(0, &SolveLimits::none()).unwrap_err(),
+            MapFailure::InvalidIi { ii: 0, max_ii: 50 }
+        );
+        assert_eq!(
+            prepared.attempt_ii(51, &SolveLimits::none()).unwrap_err(),
+            MapFailure::InvalidIi { ii: 51, max_ii: 50 }
+        );
+        let mut ladder = prepared.ladder().unwrap();
+        assert_eq!(
+            ladder.attempt_ii(0, &SolveLimits::none()).unwrap_err(),
+            MapFailure::InvalidIi { ii: 0, max_ii: 50 }
+        );
     }
 
-    #[test]
-    fn incremental_and_scratch_ladders_agree() {
-        // The recurrence climbs through UNSAT rungs before mapping; both
-        // formulations must settle on the same best II with the same
-        // per-II trace.
+    /// A 3-node recurrence a->b->c->a: RecMII = 3.
+    fn recurrence() -> Dfg {
         let mut dfg = Dfg::new("rec");
         let a = dfg.add_node(Op::Neg);
         let b = dfg.add_node(Op::Neg);
@@ -1097,35 +977,54 @@ mod tests {
         dfg.add_edge(a, b, 0);
         dfg.add_edge(b, c, 0);
         dfg.add_back_edge(c, a, 0, 1, 0);
-        let cgra = Cgra::square(1);
-        let scratch = Mapper::new(&dfg, &cgra)
-            .with_config(MapperConfig {
-                incremental: false,
-                ..MapperConfig::default()
+        dfg
+    }
+
+    /// The paper's scratch loop, kept as a test oracle: the shared II
+    /// driver over the one-shot attempt — a fresh solver per II, nothing
+    /// carried between rungs.
+    fn scratch_run(dfg: &Dfg, cgra: &Cgra, config: MapperConfig) -> MapOutcome {
+        run_ladder(format_args!("scratch {}", dfg.name()), &config, |rungs| {
+            let prepared = Mapper::new(dfg, cgra)
+                .with_config(config.clone())
+                .prepare()?;
+            rungs.climb(prepared.start_ii(), |ii, limits| {
+                prepared.attempt_ii(ii, limits)
             })
-            .run();
-        let incremental = Mapper::new(&dfg, &cgra).run();
-        assert_eq!(incremental.ii(), scratch.ii());
-        assert_eq!(incremental.ii(), Some(3));
-        let scratch_iis: Vec<(u32, AttemptOutcome)> = scratch
-            .attempts
-            .iter()
-            .map(|a| (a.ii, a.outcome.clone()))
-            .collect();
-        let incr_iis: Vec<(u32, AttemptOutcome)> = incremental
-            .attempts
-            .iter()
-            .map(|a| (a.ii, a.outcome.clone()))
-            .collect();
-        assert_eq!(scratch_iis, incr_iis);
+        })
+    }
+
+    #[test]
+    fn live_and_scratch_ladders_agree() {
+        // The recurrence climbs through UNSAT rungs before mapping; both
+        // formulations must settle on the same best II with the same
+        // per-II trace.
+        let dfg = recurrence();
+        let cgra = Cgra::square(1);
+        let config = MapperConfig {
+            start_ii: Some(1),
+            ..MapperConfig::default()
+        };
+        let scratch = scratch_run(&dfg, &cgra, config.clone());
+        let live = Mapper::new(&dfg, &cgra).with_config(config).run();
+        assert_eq!(live.ii(), scratch.ii());
+        assert_eq!(live.ii(), Some(3));
+        let trace = |outcome: &MapOutcome| -> Vec<(u32, AttemptOutcome)> {
+            outcome
+                .attempts
+                .iter()
+                .map(|a| (a.ii, a.outcome.clone()))
+                .collect()
+        };
+        assert_eq!(trace(&scratch), trace(&live));
+        assert_eq!(scratch.attempts.len(), 3, "II 1 and 2 refuted first");
     }
 
     #[test]
     fn prefix_core_proves_unmappable_in_one_rung() {
         // Split load/store columns on a 1x4: the load (column 0) feeds the
         // store (column 3) directly, which no II can make adjacent. The
-        // scratch ladder grinds every rung to the cap; the incremental
-        // ladder proves it from the first rung's UNSAT core.
+        // prefix alone is contradictory, so one rung settles the ladder.
         use satmapit_cgra::MemoryPolicy;
         let mut dfg = Dfg::new("split");
         let addr = dfg.add_const(0);
@@ -1143,42 +1042,39 @@ mod tests {
         assert_eq!(report.attempt.outcome, AttemptOutcome::Unsat);
         assert!(report.proven_unmappable, "core avoids the per-II group");
 
-        let incremental = Mapper::new(&dfg, &cgra).run();
+        let outcome = Mapper::new(&dfg, &cgra).run();
         assert_eq!(
-            incremental.result.unwrap_err(),
+            outcome.result.unwrap_err(),
             MapFailure::IiCapReached { cap: 50 }
         );
         assert_eq!(
-            incremental.attempts.len(),
+            outcome.attempts.len(),
             1,
             "one rung settles the whole ladder"
         );
+    }
 
-        // Agreement: the scratch ladder reaches the same verdict the slow
-        // way (smaller cap to keep the grind cheap).
-        let scratch = Mapper::new(&dfg, &cgra)
-            .with_config(MapperConfig {
-                incremental: false,
-                max_ii: 6,
-                ..MapperConfig::default()
-            })
-            .run();
-        assert_eq!(
-            scratch.result.unwrap_err(),
-            MapFailure::IiCapReached { cap: 6 }
-        );
-        assert_eq!(scratch.attempts.len(), 6, "every rung ground out");
+    #[test]
+    fn ungated_unsat_is_not_a_prefix_proof() {
+        // The one-shot path solves without a rung gate, so an ordinary
+        // UNSAT leaves `final_conflict()` empty — which on the gated path
+        // would read "prefix contradictory". A merely too-small II must
+        // not condemn the ladder: II = 1 is refuted, II = 3 still maps.
+        let dfg = recurrence();
+        let cgra = Cgra::square(1);
+        let prepared = Mapper::new(&dfg, &cgra).prepare().unwrap();
+        let refuted = prepared.attempt_ii(1, &SolveLimits::none()).unwrap();
+        assert_eq!(refuted.attempt.outcome, AttemptOutcome::Unsat);
+        assert!(!refuted.proven_unmappable, "only this II is infeasible");
+        assert!(!prepared.proven_unmappable());
+        let mapped = prepared.attempt_ii(3, &SolveLimits::none()).unwrap();
+        assert_eq!(mapped.attempt.outcome, AttemptOutcome::Mapped);
+        assert!(mapped.mapped.is_some());
     }
 
     #[test]
     fn ladder_tracks_proven_lower_bound() {
-        let mut dfg = Dfg::new("rec");
-        let a = dfg.add_node(Op::Neg);
-        let b = dfg.add_node(Op::Neg);
-        let c = dfg.add_node(Op::Neg);
-        dfg.add_edge(a, b, 0);
-        dfg.add_edge(b, c, 0);
-        dfg.add_back_edge(c, a, 0, 1, 0);
+        let dfg = recurrence();
         let cgra = Cgra::square(2);
         let config = MapperConfig {
             start_ii: Some(1),

@@ -129,8 +129,11 @@ pub fn hash_config(h: &mut Hasher, config: &EngineConfig) {
     h.write_str(&format!("{:?}", m.slack));
     h.write_u64(u64::from(m.ra_cuts));
     h.write(&[u8::from(m.register_pressure)]);
-    h.write(&[u8::from(m.incremental)]);
-    h.write(&[u8::from(m.rung_transfer)]);
+    // Two retired ladder switches (live-vs-scratch ladder, rung-to-rung
+    // heuristic transfer; see docs/solver.md) were hashed here as one
+    // byte each, both on by default; their constant bytes stay so every
+    // key written under the defaults stays warm.
+    h.write(&[1, 1]);
     h.write_u64(m.solver.restart_base);
     h.write_opt_u64(m.solver.phase_seed);
     // Arena GC preserves the formula but compacts watch lists, which can
@@ -179,7 +182,7 @@ pub fn fingerprint(dfg: &Dfg, cgra: &Cgra, config: &EngineConfig) -> Fingerprint
 /// (mobility-window slack and the C4 register-pressure constraints).
 ///
 /// Unlike [`fingerprint`], execution knobs — timeouts, worker counts, race
-/// width, solver seeds, AMO encoding, incremental mode — are excluded: an
+/// width, solver seeds, AMO encoding — are excluded: an
 /// `Unsat` proof at some II transfers between any two configurations that
 /// agree on this key. The engine's proven-II-bound cache is keyed on it,
 /// so a retried job (longer timeout, different parallelism) starts its
@@ -290,7 +293,6 @@ mod tests {
         let mut exec = base.clone();
         exec.mapper.timeout = Some(std::time::Duration::from_secs(1));
         exec.mapper.max_conflicts_per_ii = Some(10);
-        exec.mapper.incremental = false;
         exec.mapper.solver.phase_seed = Some(42);
         assert_eq!(key, problem_fingerprint(&dfg, &cgra, &exec.mapper));
 
@@ -303,17 +305,41 @@ mod tests {
         assert_ne!(key, problem_fingerprint(&dfg, &cgra, &semantic.mapper));
     }
 
+    /// Golden keys, computed on the commit before the two ladder
+    /// switches above were retired. Every `results.smc` /
+    /// `bounds.smc` record on disk is addressed by these hashes: if this
+    /// test fails, the change under review silently discards every user's
+    /// warm cache — restore the byte stream instead of updating the values
+    /// (or bump `FORMAT_VERSION` deliberately and say so).
     #[test]
-    fn incremental_knob_moves_the_result_key() {
-        let dfg = sample_dfg("x");
+    fn cache_keys_match_the_golden_values() {
+        let mut dfg = Dfg::new("golden");
+        let a = dfg.add_const(7);
+        let b = dfg.add_node(Op::Neg);
+        let c = dfg.add_node(Op::Add);
+        dfg.add_edge(a, b, 0);
+        dfg.add_edge(b, c, 0);
+        dfg.add_back_edge(c, c, 1, 1, 3);
         let cgra = Cgra::square(3);
-        let on = EngineConfig::default();
-        let mut off = EngineConfig::default();
-        off.mapper.incremental = false;
-        assert_ne!(
-            fingerprint(&dfg, &cgra, &on),
-            fingerprint(&dfg, &cgra, &off)
+        let default_config = EngineConfig::default();
+        let morph = EngineConfig {
+            backend: crate::BackendKind::Morph,
+            ..EngineConfig::default()
+        };
+        assert_eq!(
+            fingerprint(&dfg, &cgra, &default_config).to_string(),
+            "2ba0cd866fe37195d968fcf37c9dbb7b"
         );
+        assert_eq!(
+            fingerprint(&dfg, &cgra, &morph).to_string(),
+            "a229f6ebf43cd82752fddbac15374bf9"
+        );
+        for config in [&default_config, &morph] {
+            assert_eq!(
+                problem_fingerprint(&dfg, &cgra, &config.mapper).to_string(),
+                "9a13606de74170fabb2fca09e0c3469f"
+            );
+        }
     }
 
     #[test]

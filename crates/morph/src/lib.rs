@@ -49,20 +49,22 @@ pub mod search;
 
 use satmapit_cgra::Cgra;
 use satmapit_core::encoder::EncodeError;
-use satmapit_core::{AttemptReport, Backend, MapFailure, MapOutcome, Mapper, MapperConfig};
+use satmapit_core::{
+    run_ladder, AttemptReport, Backend, MapFailure, MapOutcome, Mapper, MapperConfig,
+};
 use satmapit_dfg::Dfg;
 use satmapit_sat::SolveLimits;
 use satmapit_schedule::{mii, MobilitySchedule};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The monomorphism mapper: same problem types and configuration as
 /// [`satmapit_core::Mapper`], different search engine.
 ///
 /// Only the schedule-shaped configuration applies here — `max_ii`,
 /// `start_ii`, `timeout`, `slack`, `regalloc_budget`, `ra_cuts`. The
-/// SAT-specific knobs (`amo`, `solver`, `incremental`, `rung_transfer`,
-/// `register_pressure`, `max_conflicts_per_ii` as a *conflict* budget —
+/// SAT-specific knobs (`amo`, `solver`, `register_pressure`,
+/// `max_conflicts_per_ii` as a *conflict* budget —
 /// here it bounds search dead-ends) are ignored or reinterpreted as
 /// documented on [`PreparedMorph::attempt_ii`].
 #[derive(Debug, Clone)]
@@ -136,98 +138,20 @@ impl<'a> MorphMapper<'a> {
         })
     }
 
-    /// Runs the iterative II search (paper Fig. 3's outer loop) with the
-    /// monomorphism engine on every rung.
+    /// Runs the iterative II search (paper Fig. 3's outer loop, the
+    /// driver shared with [`Mapper::run`]) with the monomorphism engine on
+    /// every rung.
     pub fn run(&self) -> MapOutcome {
-        if !satmapit_obs::trace::enabled() {
-            return self.run_inner();
-        }
-        let mut span = satmapit_obs::trace::Span::begin(
-            satmapit_obs::trace::Category::Ladder,
-            &format!("ladder {} (morph)", self.dfg.name()),
-        );
-        let outcome = self.run_inner();
-        match &outcome.result {
-            Ok(mapped) => {
-                span.arg_str("status", "mapped");
-                span.arg("ii", i64::from(mapped.mapping.ii));
-            }
-            Err(failure) => span.arg_str("status", &format!("{failure:?}")),
-        }
-        outcome
-    }
-
-    fn run_inner(&self) -> MapOutcome {
-        let t0 = Instant::now();
-        let deadline = self.config.timeout.map(|d| t0 + d);
-        let mut attempts = Vec::new();
-        let prepared = match self.prepare() {
-            Ok(p) => p,
-            Err(e) => {
-                return MapOutcome {
-                    result: Err(e),
-                    attempts,
-                    elapsed: t0.elapsed(),
-                };
-            }
-        };
-        let mut ii = prepared.start_ii();
-        while ii <= self.config.max_ii {
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    return MapOutcome {
-                        result: Err(MapFailure::Timeout { at_ii: ii }),
-                        attempts,
-                        elapsed: t0.elapsed(),
-                    };
-                }
-            }
-            let mut limits = SolveLimits::none();
-            if let Some(dl) = deadline {
-                limits = limits.with_deadline(dl);
-            }
-            if let Some(c) = self.config.max_conflicts_per_ii {
-                limits = limits.with_max_conflicts(c);
-            }
-            match prepared.attempt_ii(ii, &limits) {
-                Err(e) => {
-                    return MapOutcome {
-                        result: Err(e),
-                        attempts,
-                        elapsed: t0.elapsed(),
-                    };
-                }
-                Ok(report) => {
-                    let mapped = report.mapped;
-                    let unmappable = report.proven_unmappable;
-                    attempts.push(report.attempt);
-                    if let Some(m) = mapped {
-                        return MapOutcome {
-                            result: Ok(m),
-                            attempts,
-                            elapsed: t0.elapsed(),
-                        };
-                    }
-                    if unmappable {
-                        return MapOutcome {
-                            result: Err(MapFailure::IiCapReached {
-                                cap: self.config.max_ii,
-                            }),
-                            attempts,
-                            elapsed: t0.elapsed(),
-                        };
-                    }
-                }
-            }
-            ii += 1;
-        }
-        MapOutcome {
-            result: Err(MapFailure::IiCapReached {
-                cap: self.config.max_ii,
-            }),
-            attempts,
-            elapsed: t0.elapsed(),
-        }
+        run_ladder(
+            format_args!("ladder {} (morph)", self.dfg.name()),
+            &self.config,
+            |rungs| {
+                let prepared = self.prepare()?;
+                rungs.climb(prepared.start_ii(), |ii, limits| {
+                    prepared.attempt_ii(ii, limits)
+                })
+            },
+        )
     }
 }
 
@@ -304,23 +228,10 @@ impl<'a> PreparedMorph<'a> {
     ///
     /// Terminal conditions only, as above.
     pub fn attempt_ii(&self, ii: u32, limits: &SolveLimits) -> Result<AttemptReport, MapFailure> {
-        if !satmapit_obs::trace::enabled() {
-            return self.attempt_ii_inner(ii, limits);
-        }
-        let start_us = satmapit_obs::trace::now_us();
-        let result = self.attempt_ii_inner(ii, limits);
-        satmapit_core::trace_rung_attempt(ii, start_us, &result);
-        result
-    }
-
-    fn attempt_ii_inner(&self, ii: u32, limits: &SolveLimits) -> Result<AttemptReport, MapFailure> {
-        if ii == 0 || ii > self.config.max_ii {
-            return Err(MapFailure::InvalidIi {
-                ii,
-                max_ii: self.config.max_ii,
-            });
-        }
-        search::attempt(self, ii, limits)
+        satmapit_core::traced_rung(ii, || {
+            self.config.check_ii(ii)?;
+            search::attempt(self, ii, limits)
+        })
     }
 }
 

@@ -601,32 +601,10 @@ pub(crate) fn attempt(
     // paying for the KMS fold and domain construction (the search polls
     // again on its own cadence).
     if limits.stop_requested() {
-        return Ok(AttemptReport {
-            attempt: IiAttempt {
-                ii,
-                encode_stats: EncodeStats::default(),
-                outcome: AttemptOutcome::SolverBudget(StopReason::Cancelled),
-                solver_stats: None,
-                ra_cuts: 0,
-                elapsed: t_ii.elapsed(),
-            },
-            mapped: None,
-            proven_unmappable: false,
-        });
+        return Ok(AttemptReport::cancelled(ii, t_ii.elapsed()));
     }
     if p.proven_unmappable() {
-        return Ok(AttemptReport {
-            attempt: IiAttempt {
-                ii,
-                encode_stats: EncodeStats::default(),
-                outcome: AttemptOutcome::Unsat,
-                solver_stats: None,
-                ra_cuts: 0,
-                elapsed: t_ii.elapsed(),
-            },
-            mapped: None,
-            proven_unmappable: true,
-        });
+        return Ok(AttemptReport::unmappable(ii, t_ii.elapsed()));
     }
     let kms = Kms::build_with_slack(&p.ms, ii, p.config.slack.slack(ii));
     let mut s = Search::new(p, &kms, ii, limits);

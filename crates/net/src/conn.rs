@@ -58,14 +58,18 @@ pub struct LineConn {
 }
 
 impl LineConn {
-    /// Wraps `stream`, switching it to non-blocking mode. `max_line`
+    /// Wraps `stream`, switching it to non-blocking mode and turning
+    /// Nagle's algorithm off: every queued response is one complete
+    /// line, and holding the second of a pipelined burst until the peer's
+    /// delayed ACK of the first stalls the connection ~40 ms. `max_line`
     /// bounds a single request line (exclusive of the newline).
     ///
     /// # Errors
     ///
-    /// Propagates `set_nonblocking` failure.
+    /// Propagates `set_nonblocking` / `set_nodelay` failure.
     pub fn new(stream: TcpStream, max_line: usize) -> io::Result<LineConn> {
         stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
         Ok(LineConn {
             stream,
             read: Ring::new(),
@@ -185,6 +189,14 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         (lines, eof)
+    }
+
+    #[test]
+    fn new_connections_disable_nagle() {
+        let (_client, server) = pair();
+        assert!(!server.nodelay().unwrap(), "sockets start with Nagle on");
+        let conn = LineConn::new(server, 1024).unwrap();
+        assert!(conn.stream().nodelay().unwrap());
     }
 
     #[test]

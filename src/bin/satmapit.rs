@@ -196,35 +196,6 @@ fn reject_extra_positionals(parsed: &Parsed, expected: usize) {
     }
 }
 
-/// The `--incremental` / `--no-incremental` pair, shared by every
-/// mapping subcommand (one definition so wording and defaults cannot
-/// drift between `map`, `sweep` and `batch`).
-const INCREMENTAL_FLAG: FlagSpec = FlagSpec {
-    name: "--incremental",
-    takes_value: false,
-    help: "Incremental II ladder (the default): learned clauses carry across IIs",
-};
-const NO_INCREMENTAL_FLAG: FlagSpec = FlagSpec {
-    name: "--no-incremental",
-    takes_value: false,
-    help: "Re-encode and re-solve every II from scratch (the paper's loop)",
-};
-
-/// Resolves the `--incremental` / `--no-incremental` pair (incremental is
-/// the default; the last occurrence wins, mirroring repeated value flags).
-fn incremental_flag(parsed: &Parsed) -> bool {
-    parsed
-        .values
-        .iter()
-        .rev()
-        .find_map(|(name, _)| match *name {
-            "--incremental" => Some(true),
-            "--no-incremental" => Some(false),
-            _ => None,
-        })
-        .unwrap_or(true)
-}
-
 /// The `--share` flag, shared by the engine-backed subcommands: learnt-
 /// clause exchange between portfolio siblings racing the same II
 /// (meaningful with `--portfolio ≥ 2`; changes which equally-valid model
@@ -357,11 +328,9 @@ fn cmd_map(args: &[String]) {
             help: "Allow up to this many routing (copy) nodes (default 0)",
         },
         BACKEND_FLAG,
-        INCREMENTAL_FLAG,
-        NO_INCREMENTAL_FLAG,
     ];
     let help = render_help(
-        "satmapit map <kernel> [--size N] [--timeout S] [--routing R] [--backend sat|morph|race] [--no-incremental]",
+        "satmapit map <kernel> [--size N] [--timeout S] [--routing R] [--backend sat|morph|race]",
         "Map one kernel onto an NxN mesh, print the kernel program and verify\nthe mapping by executing it against reference semantics.",
         &spec,
     );
@@ -385,7 +354,6 @@ fn cmd_map(args: &[String]) {
     let cgra = Cgra::square(size);
     let config = MapperConfig {
         timeout: Some(timeout),
-        incremental: incremental_flag(&parsed),
         ..MapperConfig::default()
     };
 
@@ -446,11 +414,9 @@ fn cmd_sweep(args: &[String]) {
             help: "Wall-clock budget in seconds per mesh size (default 60)",
         },
         BACKEND_FLAG,
-        INCREMENTAL_FLAG,
-        NO_INCREMENTAL_FLAG,
     ];
     let help = render_help(
-        "satmapit sweep <kernel> [--timeout S] [--backend sat|morph|race] [--no-incremental]",
+        "satmapit sweep <kernel> [--timeout S] [--backend sat|morph|race]",
         "Map one kernel on every mesh size 2x2..5x5 — one column of the\npaper's Figure 6.",
         &spec,
     );
@@ -460,7 +426,6 @@ fn cmd_sweep(args: &[String]) {
     let timeout = Duration::from_secs(parsed.parse_num("--timeout", 60u64));
     let config = MapperConfig {
         timeout: Some(timeout),
-        incremental: incremental_flag(&parsed),
         ..MapperConfig::default()
     };
     let backend = backend_flag(&parsed);
@@ -525,11 +490,9 @@ fn cmd_batch(args: &[String]) {
         },
         BACKEND_FLAG,
         SHARE_FLAG,
-        INCREMENTAL_FLAG,
-        NO_INCREMENTAL_FLAG,
     ];
     let help = render_help(
-        "satmapit batch [--sizes 3,4,5] [--kernels a,b] [--timeout S] [--workers N] [--race W] [--portfolio P] [--backend sat|morph|race] [--share] [--repeat R] [--stats] [--trace FILE] [--no-incremental]",
+        "satmapit batch [--sizes 3,4,5] [--kernels a,b] [--timeout S] [--workers N] [--race W] [--portfolio P] [--backend sat|morph|race] [--share] [--repeat R] [--stats] [--trace FILE]",
         "Map the benchmark suite across mesh sizes through the parallel\nII-race engine, with content-hash result caching.",
         &spec,
     );
@@ -564,7 +527,6 @@ fn cmd_batch(args: &[String]) {
     let config = EngineConfig {
         mapper: MapperConfig {
             timeout: Some(timeout),
-            incremental: incremental_flag(&parsed),
             ..MapperConfig::default()
         },
         race_width: parsed.parse_num("--race", 4usize).max(1),
@@ -830,11 +792,9 @@ fn cmd_serve(args: &[String]) {
         },
         BACKEND_FLAG,
         SHARE_FLAG,
-        INCREMENTAL_FLAG,
-        NO_INCREMENTAL_FLAG,
     ];
     let help = render_help(
-        "satmapit serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] [--queue N] [--timeout S] [--race W] [--portfolio P] [--backend sat|morph|race] [--share] [--trace-dir DIR] [--slow-ms N] [--max-line-bytes N] [--cache-entries N] [--cache-age S] [--compact-every N] [--fsync-every N] [--max-append-failures N] [--no-incremental]",
+        "satmapit serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] [--queue N] [--timeout S] [--race W] [--portfolio P] [--backend sat|morph|race] [--share] [--trace-dir DIR] [--slow-ms N] [--max-line-bytes N] [--cache-entries N] [--cache-age S] [--compact-every N] [--fsync-every N] [--max-append-failures N]",
         "Run the mapping daemon: line-delimited JSON requests over TCP, a\nbounded admission queue over the parallel engine, and result/bound\ncaches persisted to --cache-dir across restarts.\n\nProtocol reference: docs/service.md. Stop it with\n`echo '{\"op\":\"shutdown\"}' | nc HOST PORT` or a `shutdown` request\nfrom any client; shutdown compacts the on-disk caches.",
         &spec,
     );
@@ -852,7 +812,6 @@ fn cmd_serve(args: &[String]) {
         engine: EngineConfig {
             mapper: MapperConfig {
                 timeout: Some(timeout),
-                incremental: incremental_flag(&parsed),
                 ..MapperConfig::default()
             },
             race_width: parsed.parse_num("--race", 4usize).max(1),

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use sat_mapit::cgra::Cgra;
-use sat_mapit::core::{validate_mapping, Mapper};
+use sat_mapit::core::{run_ladder, validate_mapping, MapOutcome, Mapper, MapperConfig};
+use sat_mapit::dfg::Dfg;
 use sat_mapit::engine::{map_raced, Engine, EngineConfig, Job, ShareConfig};
 use sat_mapit::kernels;
 use sat_mapit::sim::verify_mapping;
@@ -14,12 +15,26 @@ use std::time::Duration;
 
 fn config_with_timeout() -> EngineConfig {
     EngineConfig {
-        mapper: sat_mapit::core::MapperConfig {
+        mapper: MapperConfig {
             timeout: Some(Duration::from_secs(120)),
-            ..sat_mapit::core::MapperConfig::default()
+            ..MapperConfig::default()
         },
         ..EngineConfig::default()
     }
+}
+
+/// The paper's scratch loop, kept as a test oracle only: the shared II
+/// driver over the one-shot `PreparedMapper::attempt_ii` — a fresh solver
+/// per II, nothing carried between rungs.
+fn scratch_run(dfg: &Dfg, cgra: &Cgra, config: &MapperConfig) -> MapOutcome {
+    run_ladder(format_args!("scratch {}", dfg.name()), config, |rungs| {
+        let prepared = Mapper::new(dfg, cgra)
+            .with_config(config.clone())
+            .prepare()?;
+        rungs.climb(prepared.start_ii(), |ii, limits| {
+            prepared.attempt_ii(ii, limits)
+        })
+    })
 }
 
 #[test]
@@ -31,12 +46,7 @@ fn incremental_ladder_matches_scratch_on_4x4_for_every_kernel() {
     let cgra = Cgra::square(4);
     let base = config_with_timeout().mapper;
     for kernel in kernels::all() {
-        let scratch = Mapper::new(&kernel.dfg, &cgra)
-            .with_config(sat_mapit::core::MapperConfig {
-                incremental: false,
-                ..base.clone()
-            })
-            .run();
+        let scratch = scratch_run(&kernel.dfg, &cgra, &base);
         let incremental = Mapper::new(&kernel.dfg, &cgra)
             .with_config(base.clone())
             .run();
