@@ -21,6 +21,7 @@
 //! auxiliary per term and keeps the formula linear in the number of
 //! admissible pairs.
 
+use crate::filter::{self, Wipeout};
 use crate::varmap::VarMap;
 use satmapit_cgra::{Cgra, PeId};
 use satmapit_dfg::{Dfg, EdgeId, NodeId};
@@ -89,6 +90,12 @@ pub struct Encoded {
     pub varmap: VarMap,
     /// Size statistics.
     pub stats: EncodeStats,
+    /// Set when the domain filter ([`crate::filter`]) refuted the rung
+    /// before any clause was generated: `formula` is then the empty
+    /// clause alone, over no variables, and `varmap` indexes the
+    /// candidates the filter examined. Callers answer `Unsat` without
+    /// building a solver.
+    pub refuted: Option<Wipeout>,
 }
 
 /// Structural encoding failures that no II increase can repair.
@@ -228,6 +235,12 @@ pub fn encode(dfg: &Dfg, cgra: &Cgra, kms: &Kms, amo: AmoEncoding) -> Result<Enc
 
 /// Encodes the mapping problem for `dfg` on `cgra` at the II of `kms`.
 ///
+/// The domain filter ([`crate::filter`]) runs first. When it wipes out a
+/// node's domain the rung is refuted without generating a clause: the
+/// result carries [`Encoded::refuted`] and the empty clause. A rung that
+/// survives is encoded in full, over every candidate — the filter only
+/// refutes, it never prunes the variable table.
+///
 /// # Errors
 ///
 /// Fails only for II-independent structural reasons ([`EncodeError`]);
@@ -239,7 +252,6 @@ pub fn encode_with_options(
     kms: &Kms,
     options: EncodeOptions,
 ) -> Result<Encoded, EncodeError> {
-    let amo = options.amo;
     // Structural pre-checks.
     for n in dfg.node_ids() {
         let op = dfg.node(n).op;
@@ -252,7 +264,36 @@ pub fn encode_with_options(
             return Err(EncodeError::SelfEdgeDistance { edge: eid });
         }
     }
+    let Err(wipeout) = filter::filter(dfg, cgra, kms) else {
+        return Ok(encode_clauses(dfg, cgra, kms, options));
+    };
+    satmapit_obs::debug!(
+        "satmapit::core::filter",
+        "{} II={}: refuted before encoding, node {} has no candidate left after revising {:?}",
+        dfg.name(),
+        kms.ii(),
+        wipeout.node,
+        dfg.edge(wipeout.edge),
+    );
+    let varmap = VarMap::build(dfg, cgra, kms).expect("per-node PE support checked above");
+    let mut formula = CnfFormula::new();
+    formula.add_clause(&[]);
+    Ok(Encoded {
+        stats: EncodeStats {
+            placement_vars: varmap.num_vars(),
+            clauses: 1,
+            ..EncodeStats::default()
+        },
+        formula,
+        varmap,
+        refuted: Some(wipeout),
+    })
+}
 
+/// C1–C4 over every candidate of `kms`. `dfg` and `cgra` must have
+/// passed the structural pre-checks of [`encode_with_options`].
+pub(crate) fn encode_clauses(dfg: &Dfg, cgra: &Cgra, kms: &Kms, options: EncodeOptions) -> Encoded {
+    let amo = options.amo;
     let varmap = VarMap::build(dfg, cgra, kms).expect("per-node PE support checked above");
     let mut formula = CnfFormula::with_vars(varmap.num_vars());
     let mut stats = EncodeStats {
@@ -292,7 +333,7 @@ pub fn encode_with_options(
         let s = edge.src;
         let d = edge.dst;
         if s == d {
-            // distance == 1 (checked above): Δ = II on the same PE — the
+            // distance == 1 (a structural pre-check): Δ = II on the same PE — the
             // value lives a full wheel revolution in the register file.
             // Always satisfiable; it occupies one register for the whole
             // wheel, which the pressure constraints account for.
@@ -392,11 +433,12 @@ pub fn encode_with_options(
     stats.total_vars = formula.num_vars();
     stats.clauses = formula.num_clauses();
 
-    Ok(Encoded {
+    Encoded {
         formula,
         varmap,
         stats,
-    })
+        refuted: None,
+    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,17 @@
 //! concurrently and cannot share one solver — get the unmappability
 //! signal without carrying any of the gated machinery.
 //!
+//! Neither entry point loads a rung the domain filter ([`crate::filter`])
+//! already refuted: the encoder hands back a marker instead of a formula
+//! and the attempt answers `Unsat` on the spot — no clause group, no
+//! variables, nothing queued for retirement. The measurement behind it
+//! (benchmark traced pass, seed 1, at the commit before the filter):
+//! the monomorphism backend's root arc consistency closed 65 of 65 UNSAT
+//! rungs of `ladder_wide` (`morph.root_refuted_ratio` 1.000) and 32 of 42
+//! on `ladder_refute` (0.762), and no UNSAT rung of any ladder cell fell
+//! to its *search* inside the 150 ms budget — the refuter was the
+//! fixpoint alone, so the fixpoint now runs here, ahead of every encode.
+//!
 //! Both entry points run the same rung body, `solve_rung`: solve →
 //! decode → validate → allocate registers → cut and re-solve. They differ
 //! only in where the solver comes from — the ladder's live solver behind
@@ -246,29 +257,25 @@ fn stats_delta(now: &SolverStats, before: &SolverStats) -> SolverStats {
     }
 }
 
-/// Attempts candidate `ii` on `solver` using the gated formulation: the
-/// per-II encoding is appended as a fresh clause group, solved under its
-/// activation literal, and register-allocation cuts are added to the same
-/// group. The group is *not* retired here — the caller ([`IiLadder`])
-/// retires it once the rung is settled, success or failure.
-///
-/// # Errors
-///
-/// `Err` is only returned for failures *before* the clause group exists
-/// (a structural encoding failure); everything after that — including
-/// [`MapFailure::Timeout`] — lands in [`GatedAttempt::result`] so the
+/// Loads the encoded rung `enc` into `solver` using the gated
+/// formulation and attempts it: the per-II encoding is appended as a
+/// fresh clause group, solved under its activation literal, and
+/// register-allocation cuts are added to the same group. The group is
+/// *not* retired here — the caller ([`IiLadder`]) retires it once the
+/// rung is settled, success or failure. Every failure — including
+/// [`MapFailure::Timeout`] — lands in [`GatedAttempt::result`], so the
 /// group handle is never lost.
+#[allow(clippy::too_many_arguments)] // internal plumbing of one rung
 pub(crate) fn attempt_gated(
     prepared: &PreparedMapper<'_>,
     solver: &mut Solver,
     prefix: &PePrefix,
     prev_rung: Option<&RungMemory>,
-    ii: u32,
+    kms: &Kms,
+    enc: crate::encoder::Encoded,
     limits: &SolveLimits,
-) -> Result<GatedAttempt, MapFailure> {
-    let t_ii = Instant::now();
-    let (kms, enc) = prepared.encode_rung(ii)?;
-
+    t_ii: Instant,
+) -> GatedAttempt {
     let base = solver.num_vars() as u32;
     solver.ensure_vars(base as usize + enc.formula.num_vars());
     let gate = solver.new_group();
@@ -304,13 +311,13 @@ pub(crate) fn attempt_gated(
         solver.on_rung_advance(&pairs, RUNG_ACTIVITY_SCALE);
     }
 
-    let result = solve_rung(prepared, solver, &enc, &kms, Some(gate), base, limits, t_ii);
-    Ok(GatedAttempt {
+    let result = solve_rung(prepared, solver, &enc, kms, Some(gate), base, limits, t_ii);
+    GatedAttempt {
         result,
         gate,
         delta_vars,
         varmap: enc.varmap,
-    })
+    }
 }
 
 /// The solve → decode → validate → allocate → cut loop of one rung — the
@@ -571,31 +578,146 @@ impl<'p, 'a> IiLadder<'p, 'a> {
         // literal is simply never assumed again), so solve-time state is
         // identical to eager retirement.
         self.retire_pending();
-        let gated = attempt_gated(
-            self.prepared,
-            &mut self.solver,
-            &self.prefix,
-            self.last_rung.as_ref(),
-            ii,
-            limits,
-        )?;
-        // Queue this rung for retirement whatever its result — an
-        // abandoned rung (timeout, internal failure) must not leak its
-        // encoding into the next solve, and `retire_pending` runs before
-        // that solve. The rung's saved phases and activities survive in
-        // the solver's per-variable arrays; its variable table feeds the
-        // next rung's phase/activity transfer.
-        self.pending_retire = Some((gated.gate, gated.delta_vars.clone()));
-        self.last_rung = Some(RungMemory {
-            varmap: gated.varmap,
-            base: gated.delta_vars.start,
-        });
-        let report = gated.result?;
+        // The rung's clock starts after the previous rung's sweep.
+        let t_ii = Instant::now();
+        let (kms, enc) = self.prepared.encode_rung(ii)?;
+        let report = if enc.refuted.is_some() {
+            // The domain filter closed the rung before a clause existed:
+            // nothing is loaded, so there is no group to retire and the
+            // previous rung stays the heuristic memory of the next one.
+            AttemptReport::filter_refuted(ii, enc.stats, t_ii.elapsed())
+        } else {
+            let gated = attempt_gated(
+                self.prepared,
+                &mut self.solver,
+                &self.prefix,
+                self.last_rung.as_ref(),
+                &kms,
+                enc,
+                limits,
+                t_ii,
+            );
+            // Queue this rung for retirement whatever its result — an
+            // abandoned rung (timeout, internal failure) must not leak its
+            // encoding into the next solve, and `retire_pending` runs
+            // before that solve. The rung's saved phases and activities
+            // survive in the solver's per-variable arrays; its variable
+            // table feeds the next rung's phase/activity transfer.
+            self.pending_retire = Some((gated.gate, gated.delta_vars.clone()));
+            self.last_rung = Some(RungMemory {
+                varmap: gated.varmap,
+                base: gated.delta_vars.start,
+            });
+            gated.result?
+        };
         if report.proven_unmappable {
             self.unmappable = true;
         } else if report.attempt.outcome == AttemptOutcome::Unsat && ii == self.proven_lower_bound {
             self.proven_lower_bound = ii + 1;
         }
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::{Mapper, MapperConfig};
+    use satmapit_dfg::Op;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    /// a -> b -> c -> a: RecMII = 3, and the domain filter alone refutes
+    /// II = 1 and II = 2 on any mesh.
+    pub(crate) fn recurrence() -> Dfg {
+        let mut dfg = Dfg::new("rec");
+        let a = dfg.add_node(Op::Neg);
+        let b = dfg.add_node(Op::Neg);
+        let c = dfg.add_node(Op::Neg);
+        dfg.add_edge(a, b, 0);
+        dfg.add_edge(b, c, 0);
+        dfg.add_back_edge(c, a, 0, 1, 0);
+        dfg
+    }
+
+    fn from_ii_1() -> MapperConfig {
+        MapperConfig {
+            start_ii: Some(1),
+            ..MapperConfig::default()
+        }
+    }
+
+    fn assert_filter_closed(report: &AttemptReport, ii: u32) {
+        assert_eq!(report.attempt.ii, ii);
+        assert_eq!(report.attempt.outcome, AttemptOutcome::Unsat);
+        assert_eq!(report.attempt.solver_stats, None, "no solver ran");
+        assert_eq!(report.attempt.ra_cuts, 0);
+        assert_eq!(report.attempt.encode_stats.clauses, 1, "the empty clause");
+        assert!(report.mapped.is_none());
+        assert!(!report.proven_unmappable, "only this II is refuted");
+        assert!(report.is_definitive());
+    }
+
+    #[test]
+    fn filter_closed_rungs_leave_the_live_solver_untouched() {
+        let dfg = recurrence();
+        let cgra = Cgra::square(2);
+        let prepared = Mapper::new(&dfg, &cgra)
+            .with_config(from_ii_1())
+            .prepare()
+            .unwrap();
+        let mut ladder = prepared.ladder().unwrap();
+        // A clause group costs an activation variable, so a constant
+        // variable count also says no group was opened.
+        let vars = ladder.solver.num_vars();
+        let clauses = ladder.solver.stats().added_clauses;
+
+        // A raised stop flag is answered before the filter runs.
+        let stopped = SolveLimits::none().with_stop_flag(Arc::new(AtomicBool::new(true)));
+        let report = ladder.attempt_ii(1, &stopped).unwrap();
+        assert_eq!(
+            report.attempt.outcome,
+            AttemptOutcome::SolverBudget(StopReason::Cancelled)
+        );
+        assert_eq!(ladder.proven_lower_bound(), 1);
+
+        for ii in 1..=2 {
+            let report = ladder.attempt_ii(ii, &SolveLimits::none()).unwrap();
+            assert_filter_closed(&report, ii);
+            assert_eq!(ladder.proven_lower_bound(), ii + 1);
+            assert_eq!(ladder.solver.num_vars(), vars, "ii={ii}");
+            assert_eq!(ladder.solver.stats().added_clauses, clauses, "ii={ii}");
+            assert!(ladder.pending_retire.is_none(), "nothing to retire");
+            assert!(ladder.last_rung.is_none(), "no rung to remember");
+        }
+        let report = ladder.attempt_ii(3, &SolveLimits::none()).unwrap();
+        assert!(report.mapped.is_some());
+        assert!(report.attempt.solver_stats.is_some());
+        assert!(
+            ladder.solver.num_vars() > vars,
+            "the surviving rung is loaded"
+        );
+        assert!(!ladder.proven_unmappable());
+    }
+
+    #[test]
+    fn one_shot_attempts_and_the_driver_report_filter_closed_rungs_alike() {
+        let dfg = recurrence();
+        let cgra = Cgra::square(2);
+        let prepared = Mapper::new(&dfg, &cgra).prepare().unwrap();
+        for ii in 1..=2 {
+            let report = prepared.attempt_ii(ii, &SolveLimits::none()).unwrap();
+            assert_filter_closed(&report, ii);
+        }
+        // The driver keeps them in the trace: the first attempt is still
+        // the start II.
+        let outcome = Mapper::new(&dfg, &cgra).with_config(from_ii_1()).run();
+        assert_eq!(outcome.ii(), Some(3));
+        let trace: Vec<(u32, bool)> = outcome
+            .attempts
+            .iter()
+            .map(|a| (a.ii, a.solver_stats.is_some()))
+            .collect();
+        assert_eq!(trace, [(1, false), (2, false), (3, true)]);
     }
 }

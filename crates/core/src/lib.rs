@@ -10,7 +10,9 @@
 //! 2. start at `II = MII = max(ResMII, RecMII)`,
 //! 3. fold the mobility schedule into the **kernel mobility schedule**
 //!    ([`satmapit_schedule::Kms`]),
-//! 4. [`encoder::encode`] the constraint sets **C1** (exactly-one
+//! 4. run the domain [`filter`] over the candidates: an emptied domain
+//!    refutes this II before anything is encoded; otherwise
+//!    [`encoder::encode`] the constraint sets **C1** (exactly-one
 //!    placement per node), **C2** (slot exclusivity) and **C3**
 //!    (dependency timing/adjacency with register-file and output-register
 //!    transfer paths) into CNF,
@@ -58,6 +60,7 @@ pub mod backend;
 pub mod codegen;
 mod decode;
 pub mod encoder;
+pub mod filter;
 pub mod ladder;
 mod mapper;
 mod mapping;

@@ -450,6 +450,15 @@ impl AttemptReport {
         }
     }
 
+    /// The report of a rung the domain filter ([`crate::filter`]) refuted
+    /// before any search: a proven `Unsat` with no solver effort.
+    /// `encode_stats` sizes the candidate space the filter examined.
+    pub fn filter_refuted(ii: u32, encode_stats: EncodeStats, elapsed: Duration) -> AttemptReport {
+        let mut report = AttemptReport::unsolved(ii, AttemptOutcome::Unsat, elapsed);
+        report.attempt.encode_stats = encode_stats;
+        report
+    }
+
     fn unsolved(ii: u32, outcome: AttemptOutcome, elapsed: Duration) -> AttemptReport {
         AttemptReport {
             attempt: IiAttempt {
@@ -515,6 +524,9 @@ pub fn traced_rung(
             AttemptOutcome::Mapped => "mapped",
             AttemptOutcome::RegAllocFailed(_) => "regalloc_failed",
             AttemptOutcome::Unsat if report.proven_unmappable => "unsat_prefix",
+            // Proven without a solver, yet not by the prefix: the domain
+            // filter refuted the rung before it was encoded.
+            AttemptOutcome::Unsat if report.attempt.solver_stats.is_none() => "unsat_filter",
             AttemptOutcome::Unsat => "unsat",
             AttemptOutcome::SolverBudget(StopReason::ConflictLimit) => "conflict_limit",
             AttemptOutcome::SolverBudget(StopReason::Cancelled) => "cancelled",
@@ -710,6 +722,9 @@ impl<'a> PreparedMapper<'a> {
             return Ok(AttemptReport::unmappable(ii, t_ii.elapsed()));
         }
         let (kms, enc) = self.encode_rung(ii)?;
+        if enc.refuted.is_some() {
+            return Ok(AttemptReport::filter_refuted(ii, enc.stats, t_ii.elapsed()));
+        }
         let mut solver = Solver::from_cnf_with(&enc.formula, &self.config.solver);
         // Portfolio learnt-clause sharing: the engine's race hands each
         // sibling a handle through the limits; connect it under the
@@ -830,6 +845,7 @@ pub fn map(dfg: &Dfg, cgra: &Cgra) -> MapOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ladder::tests::recurrence;
     use crate::validate::validate_mapping;
     use satmapit_dfg::Op;
 
@@ -966,18 +982,6 @@ mod tests {
             ladder.attempt_ii(0, &SolveLimits::none()).unwrap_err(),
             MapFailure::InvalidIi { ii: 0, max_ii: 50 }
         );
-    }
-
-    /// A 3-node recurrence a->b->c->a: RecMII = 3.
-    fn recurrence() -> Dfg {
-        let mut dfg = Dfg::new("rec");
-        let a = dfg.add_node(Op::Neg);
-        let b = dfg.add_node(Op::Neg);
-        let c = dfg.add_node(Op::Neg);
-        dfg.add_edge(a, b, 0);
-        dfg.add_edge(b, c, 0);
-        dfg.add_back_edge(c, a, 0, 1, 0);
-        dfg
     }
 
     /// The paper's scratch loop, kept as a test oracle: the shared II

@@ -39,6 +39,7 @@
 use crate::PreparedMorph;
 use satmapit_cgra::{Cgra, PeId};
 use satmapit_core::encoder::EncodeStats;
+use satmapit_core::filter::{self, Domains};
 use satmapit_core::{
     allocate_registers, validate_mapping, AttemptOutcome, AttemptReport, IiAttempt, MapFailure,
     MappedLoop, Mapping, Placement, TransferKind,
@@ -48,6 +49,7 @@ use satmapit_graphs::DiGraph;
 use satmapit_regalloc::RegAllocError;
 use satmapit_sat::{SolveLimits, SolverStats, StopReason, LIMIT_POLL_INTERVAL};
 use satmapit_schedule::Kms;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One candidate slot for a node: a KMS position on a supporting PE.
@@ -148,6 +150,10 @@ struct Search<'p> {
     /// Nodes whose domains the last [`Search::assign`] shrank — the
     /// seed set for [`Search::propagate`].
     dirty: Vec<usize>,
+    /// Work queue of [`Search::propagate`] and its membership flags,
+    /// kept here so a search node does not allocate them.
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
     /// Open output-register windows of completed cross-PE edges.
     guards: Vec<Guard>,
     ra_cut_budget: u32,
@@ -203,6 +209,8 @@ impl<'p> Search<'p> {
             slot_occ: vec![None; num_pes * ii as usize],
             trail: Vec::new(),
             dirty: Vec::new(),
+            queue: VecDeque::new(),
+            queued: vec![false; dfg.num_nodes()],
             guards: Vec::new(),
             ra_cut_budget: p.config.ra_cuts,
             regalloc_budget: p.config.regalloc_budget,
@@ -213,6 +221,22 @@ impl<'p> Search<'p> {
             conflicts: 0,
             propagations: 0,
             steps: 0,
+        }
+    }
+
+    /// Drops every candidate the shared domain filter removed — the
+    /// root-level arc consistency, computed once for both backends.
+    /// Off the trail: nothing below the root may revive them.
+    fn seed(&mut self, kms: &Kms, domains: &Domains) {
+        for n in 0..self.num_nodes {
+            let node = NodeId(n as u32);
+            let width = self.cands[n].len() / kms.positions(node).len();
+            for (ci, cand) in self.cands[n].iter().enumerate() {
+                if !domains.contains(node, ci / width, PeId(cand.pe as u16)) {
+                    self.active[n][ci] = false;
+                    self.active_count[n] -= 1;
+                }
+            }
         }
     }
 
@@ -386,20 +410,22 @@ impl<'p> Search<'p> {
     }
 
     /// Maintains arc consistency over the timing/adjacency constraints:
-    /// starting from `dirty` (nodes whose domains just shrank), prune
+    /// starting from [`Search::dirty`] (nodes whose domains just shrank), prune
     /// every unassigned candidate left without a support in a
     /// constraining neighbour's domain, to a fixpoint. All prunes land
     /// on the trail; returns `false` on a domain wipe-out (the branch is
     /// dead). Sound for the exactness of `Unsat`: a value without
     /// support under one edge constraint can appear in no embedding.
-    fn propagate(&mut self, dirty: Vec<usize>) -> bool {
-        let mut queue: std::collections::VecDeque<usize> = dirty.into();
-        let mut queued = vec![false; self.num_nodes];
-        for &x in &queue {
-            queued[x] = true;
+    fn propagate(&mut self) -> bool {
+        // A wipe-out returns mid-queue; start from a clean one.
+        self.queue.clear();
+        self.queued.fill(false);
+        for &x in &self.dirty {
+            self.queue.push_back(x);
+            self.queued[x] = true;
         }
-        while let Some(x) = queue.pop_front() {
-            queued[x] = false;
+        while let Some(x) = self.queue.pop_front() {
+            self.queued[x] = false;
             if self.active_count[x] == 0 && self.assigned[x].is_none() {
                 return false;
             }
@@ -442,9 +468,9 @@ impl<'p> Search<'p> {
                         }
                     }
                 }
-                if changed && !queued[y] {
-                    queued[y] = true;
-                    queue.push_back(y);
+                if changed && !self.queued[y] {
+                    self.queued[y] = true;
+                    self.queue.push_back(y);
                 }
             }
         }
@@ -551,8 +577,7 @@ impl<'p> Search<'p> {
             let trail_mark = self.trail.len();
             let guard_mark = self.guards.len();
             if self.assign(node, ci) {
-                let dirty = std::mem::take(&mut self.dirty);
-                if self.propagate(dirty) {
+                if self.propagate() {
                     match self.search() {
                         SearchResult::Dead => {}
                         other => return other,
@@ -608,12 +633,19 @@ pub(crate) fn attempt(
     }
     let kms = Kms::build_with_slack(&p.ms, ii, p.config.slack.slack(ii));
     let mut s = Search::new(p, &kms, ii, limits);
-    // Root-level arc consistency; a wipe-out here is already a proof.
-    let result = if s.propagate((0..s.num_nodes).collect()) {
-        s.search()
-    } else {
-        SearchResult::Dead
-    };
+    // Root-level arc consistency is the core's domain filter — the one
+    // the SAT encoder runs; a wipe-out there is already a proof.
+    match filter::filter(p.dfg, p.cgra, &kms) {
+        Ok(domains) => s.seed(&kms, &domains),
+        Err(_) => {
+            return Ok(AttemptReport::filter_refuted(
+                ii,
+                s.encode_stats(),
+                t_ii.elapsed(),
+            ))
+        }
+    }
+    let result = s.search();
     let report = |s: &Search<'_>, outcome, mapped, stats| AttemptReport {
         attempt: IiAttempt {
             ii,
@@ -784,6 +816,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The root domains now come from the core's filter; the search's own
+    /// propagation, run from every node on untouched domains, must leave
+    /// exactly the same candidates — on every suite kernel, 2x2 to 5x5,
+    /// every rung from MII to the pinned II.
+    #[test]
+    fn own_root_propagation_and_the_core_filter_keep_the_same_candidates() {
+        let rows = include_str!("../../../benchmark/expected_ii.txt")
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.trim().is_empty());
+        let limits = SolveLimits::none();
+        let mut wipeouts = 0;
+        for row in rows {
+            let f: Vec<&str> = row.split_whitespace().collect();
+            let side: u16 = f[0].split('x').next().unwrap().parse().unwrap();
+            if side > 5 {
+                continue;
+            }
+            let (mii, ii): (u32, u32) = (f[2].parse().unwrap(), f[3].parse().unwrap());
+            let dfg = satmapit_kernels::by_name(f[1]).expect("suite kernel").dfg;
+            let cgra = Cgra::square(side);
+            let p = crate::MorphMapper::new(&dfg, &cgra).prepare().unwrap();
+            for rung in mii..=ii {
+                let kms = Kms::build_with_slack(&p.ms, rung, p.config.slack.slack(rung));
+                let mut own = Search::new(&p, &kms, rung, &limits);
+                own.dirty = (0..own.num_nodes).collect();
+                let alive = own.propagate();
+                match filter::filter(&dfg, &cgra, &kms) {
+                    Err(_) => {
+                        assert!(!alive, "{row} II={rung}: only the filter wipes out");
+                        wipeouts += 1;
+                    }
+                    Ok(domains) => {
+                        assert!(alive, "{row} II={rung}: only the search wipes out");
+                        let mut seeded = Search::new(&p, &kms, rung, &limits);
+                        seeded.seed(&kms, &domains);
+                        assert_eq!(own.active, seeded.active, "{row} II={rung}");
+                        assert_eq!(own.active_count, seeded.active_count, "{row} II={rung}");
+                    }
+                }
+            }
+        }
+        assert!(
+            wipeouts >= 20,
+            "only {wipeouts} root wipe-outs on the suite"
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Both backends' sequential searches run under the one II driver
 //! (`satmapit_core::run_ladder`), so their `ladder` spans must carry the
-//! same arguments with the same labels. One test only: the flight
-//! recorder is process-global.
+//! same arguments with the same labels — and so must their `rung` spans,
+//! which share `satmapit_core::traced_rung` and the domain filter that
+//! closes a rung before either backend searches. One test only: the
+//! flight recorder is process-global.
 
 use satmapit_cgra::Cgra;
 use satmapit_core::{Mapper, MapperConfig};
@@ -42,7 +44,19 @@ fn sat_and_morph_ladder_spans_have_the_same_shape() {
     }
     trace::set_enabled(false);
 
-    let ladders: Vec<Event> = trace::drain()
+    let events = trace::drain();
+    // II = 1 and 2 fall to the domain filter in both backends, and the
+    // rung span says so.
+    let rung_outcomes: Vec<&ArgValue> = events
+        .iter()
+        .filter(|e| e.cat == Category::Rung)
+        .map(|e| arg(e, "outcome").expect("every rung span has an outcome"))
+        .collect();
+    let one_ladder = ["unsat_filter", "unsat_filter", "mapped"].map(|o| ArgValue::Str(o.into()));
+    let expected: Vec<&ArgValue> = one_ladder.iter().chain(&one_ladder).collect();
+    assert_eq!(rung_outcomes, expected);
+
+    let ladders: Vec<Event> = events
         .into_iter()
         .filter(|e| e.cat == Category::Ladder)
         .collect();
