@@ -318,8 +318,7 @@ pub(crate) fn encode_clauses(dfg: &Dfg, cgra: &Cgra, kms: &Kms, options: EncodeO
     for pe in cgra.pes() {
         for c in 0..kms.ii() {
             let before = formula.num_clauses();
-            let lits = varmap.slot_lits(pe, c).to_vec();
-            at_most_one(&mut formula, &lits, amo);
+            at_most_one(&mut formula, varmap.slot_lits(pe, c), amo);
             stats.c2_clauses += formula.num_clauses() - before;
         }
     }
@@ -329,6 +328,9 @@ pub(crate) fn encode_clauses(dfg: &Dfg, cgra: &Cgra, kms: &Kms, options: EncodeO
     let mut pressure = options
         .register_pressure
         .then(|| Pressure::new(dfg.num_nodes(), num_pes, kms.ii()));
+    // The compatibility clause under construction, `¬vi ∨ ⋁ wj`: one
+    // buffer for every producer literal of every edge.
+    let mut compat: Vec<Lit> = Vec::new();
     for (_eid, edge) in dfg.edges() {
         let s = edge.src;
         let d = edge.dst;
@@ -339,7 +341,7 @@ pub(crate) fn encode_clauses(dfg: &Dfg, cgra: &Cgra, kms: &Kms, options: EncodeO
             // wheel, which the pressure constraints account for.
             if let Some(p) = pressure.as_mut() {
                 for (ks, _pos_s) in kms.positions(s).iter().enumerate() {
-                    for (js, &pe_s) in varmap.allowed_pes(s).to_vec().iter().enumerate() {
+                    for (js, &pe_s) in varmap.allowed_pes(s).iter().enumerate() {
                         let vi = varmap.lit(s, ks, js);
                         for x in 0..kms.ii() {
                             let live = p.live(&mut formula, s.index(), pe_s, x);
@@ -351,16 +353,17 @@ pub(crate) fn encode_clauses(dfg: &Dfg, cgra: &Cgra, kms: &Kms, options: EncodeO
             }
             continue;
         }
-        let s_positions = kms.positions(s).to_vec();
-        let d_positions = kms.positions(d).to_vec();
-        let s_pes = varmap.allowed_pes(s).to_vec();
-        let d_pes = varmap.allowed_pes(d).to_vec();
+        let s_positions = kms.positions(s);
+        let d_positions = kms.positions(d);
+        let s_pes = varmap.allowed_pes(s);
+        let d_pes = varmap.allowed_pes(d);
 
         for (ks, &pos_s) in s_positions.iter().enumerate() {
             let ts = i64::from(kms.unfolded_time(pos_s));
             for (js, &pe_s) in s_pes.iter().enumerate() {
                 let vi = varmap.lit(s, ks, js);
-                let mut compat: Vec<Lit> = Vec::new();
+                compat.clear();
+                compat.push(!vi);
                 for (kd, &pos_d) in d_positions.iter().enumerate() {
                     let td = i64::from(kms.unfolded_time(pos_d));
                     let delta = td - ts + i64::from(edge.distance) * ii;
@@ -410,10 +413,7 @@ pub(crate) fn encode_clauses(dfg: &Dfg, cgra: &Cgra, kms: &Kms, options: EncodeO
                         }
                     }
                 }
-                let mut clause = Vec::with_capacity(compat.len() + 1);
-                clause.push(!vi);
-                clause.extend(compat);
-                formula.add_clause(&clause);
+                formula.add_clause(&compat);
                 stats.c3_compat_clauses += 1;
             }
         }

@@ -116,7 +116,7 @@ pub(crate) fn install_prefix(
         let _ = formula.new_vars(pes.len());
         allowed.push(pes);
     }
-    // Formula-local literal (offset applied when copying into solver).
+    // Formula-local literal (the solver applies the offset on load).
     let on =
         |node: usize, pe_idx: usize| -> Lit { Var::new(offsets[node] + pe_idx as u32).positive() };
 
@@ -152,12 +152,7 @@ pub(crate) fn install_prefix(
     }
 
     solver.ensure_vars(base as usize + formula.num_vars());
-    let mut shifted: Vec<Lit> = Vec::new();
-    for clause in formula.iter() {
-        shifted.clear();
-        shifted.extend(clause.iter().map(|l| offset_lit(*l, base)));
-        solver.add_clause(&shifted);
-    }
+    solver.add_formula(&formula, base, None);
     // Prefix variables are propagation-only: the per-II deltas are not
     // channelled to them (see `attempt_gated`), so branching on them
     // could only wander through placement-irrelevant assignments.
@@ -165,10 +160,6 @@ pub(crate) fn install_prefix(
         solver.set_decision_var(Var::new(v), false);
     }
     Ok(PePrefix { allowed })
-}
-
-fn offset_lit(l: Lit, base: u32) -> Lit {
-    Lit::new(Var::new(l.var().index() as u32 + base), l.is_positive())
 }
 
 /// One gated rung: the attempt's result plus the activation literal of
@@ -280,12 +271,7 @@ pub(crate) fn attempt_gated(
     solver.ensure_vars(base as usize + enc.formula.num_vars());
     let gate = solver.new_group();
     let delta_vars = base..solver.num_vars() as u32;
-    let mut shifted: Vec<Lit> = Vec::new();
-    for clause in enc.formula.iter() {
-        shifted.clear();
-        shifted.extend(clause.iter().map(|l| offset_lit(*l, base)));
-        solver.add_clause_in_group(gate, &shifted);
-    }
+    solver.add_formula(&enc.formula, base, Some(gate));
     // The delta is deliberately NOT channelled to the prefix `on`
     // variables: an ablation across the 11-kernel suite showed every
     // channeling variant (x → on binaries, the abstraction-direction
@@ -379,7 +365,7 @@ pub(crate) fn solve_rung(
                     Err(e) if cuts < config.ra_cuts => {
                         let cut = prepared.ra_cut_clause(&enc.varmap, delta_model, &mapping, e.pe);
                         debug_assert!(!cut.is_empty());
-                        let cut: Vec<Lit> = cut.iter().map(|l| offset_lit(*l, base)).collect();
+                        let cut: Vec<Lit> = cut.iter().map(|l| l.shifted_by(base)).collect();
                         match gate {
                             Some(gate) => solver.add_clause_in_group(gate, &cut),
                             None => solver.add_clause(&cut),

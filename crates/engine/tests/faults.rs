@@ -4,9 +4,11 @@
 //! either rolled back or recoverable, and the fault plane itself must be
 //! invisible when no plan is installed.
 //!
-//! Fault plans are process-global, so every test that installs one takes
-//! the `SERIAL` lock first; the whole binary effectively runs those
-//! tests one at a time.
+//! Fault plans are process-global, so every test that reaches a fault
+//! site — by installing a plan *or* just by appending, syncing or
+//! compacting while a sibling's plan could be live — holds the plane
+//! ([`FaultPlane::acquire`]) for its whole body; the binary effectively
+//! runs those tests one at a time.
 
 use satmapit_engine::persist::{self, Appender, StoreKind};
 use satmapit_engine::{DurabilityPolicy, Engine, EngineConfig, Fingerprint};
@@ -18,19 +20,28 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Serializes plan-installing tests and guarantees the plan is cleared
-/// even when an assertion panics mid-test.
-struct PlanGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+/// Exclusive use of the process-global fault plane for one test: starts
+/// with no plan installed and guarantees none is left behind, even when
+/// an assertion panics mid-test.
+struct FaultPlane(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-impl PlanGuard {
-    fn install(spec: &str) -> PlanGuard {
+impl FaultPlane {
+    fn acquire() -> FaultPlane {
         let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        faults::clear();
+        FaultPlane(guard)
+    }
+
+    fn install(&self, spec: &str) {
         faults::install(spec).expect("valid plan");
-        PlanGuard(guard)
+    }
+
+    fn clear(&self) {
+        faults::clear();
     }
 }
 
-impl Drop for PlanGuard {
+impl Drop for FaultPlane {
     fn drop(&mut self) {
         faults::clear();
     }
@@ -72,8 +83,7 @@ fn bound(key: u64, ii: u32) -> Vec<u8> {
 /// happened.
 #[test]
 fn inactive_fault_plane_counts_nothing() {
-    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
+    let plane = FaultPlane::acquire();
     let dir = TempDir::new("ghost");
     let path = dir.path().join(persist::BOUNDS_FILE);
     let mut appender = Appender::open(&path, StoreKind::Bounds).unwrap();
@@ -84,7 +94,7 @@ fn inactive_fault_plane_counts_nothing() {
     assert_eq!(faults::hits("append.bounds"), 0, "off = not even counted");
     assert_eq!(faults::injected(), 0);
 
-    faults::install("error@append.bounds:1").unwrap();
+    plane.install("error@append.bounds:1");
     let err = appender.append(&bound(3, 4)).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::Other);
     assert_eq!(
@@ -93,8 +103,6 @@ fn inactive_fault_plane_counts_nothing() {
         "the first counted hit is the first call under the plan"
     );
     assert_eq!(faults::injected(), 1);
-    faults::clear();
-    drop(guard);
 }
 
 /// `DurabilityPolicy` is an I/O knob, not a solver knob: two configs
@@ -130,17 +138,17 @@ fn durability_policy_is_fingerprint_neutral() {
 /// cleanly and the loader never sees the tear.
 #[test]
 fn partial_write_is_rolled_back_to_a_clean_file() {
+    let plane = FaultPlane::acquire();
     let dir = TempDir::new("rollback");
     let path = dir.path().join(persist::BOUNDS_FILE);
     let mut appender = Appender::open(&path, StoreKind::Bounds).unwrap();
     appender.append(&bound(1, 2)).unwrap();
     let committed = fs::metadata(&path).unwrap().len();
 
-    {
-        let _plan = PlanGuard::install("partial-write=7@append.bounds:1");
-        let err = appender.append(&bound(2, 3)).unwrap_err();
-        assert!(err.to_string().contains("torn write"), "got: {err}");
-    }
+    plane.install("partial-write=7@append.bounds:1");
+    let err = appender.append(&bound(2, 3)).unwrap_err();
+    assert!(err.to_string().contains("torn write"), "got: {err}");
+    plane.clear();
     assert_eq!(
         fs::metadata(&path).unwrap().len(),
         committed,
@@ -159,10 +167,11 @@ fn partial_write_is_rolled_back_to_a_clean_file() {
 /// disk from a bug.
 #[test]
 fn enospc_surfaces_as_the_os_error() {
+    let plane = FaultPlane::acquire();
     let dir = TempDir::new("enospc");
     let path = dir.path().join(persist::BOUNDS_FILE);
     let mut appender = Appender::open(&path, StoreKind::Bounds).unwrap();
-    let _plan = PlanGuard::install("enospc-once@append.bounds");
+    plane.install("enospc-once@append.bounds");
     let err = appender.append(&bound(1, 2)).unwrap_err();
     assert_eq!(err.raw_os_error(), Some(28), "ENOSPC");
     // -once: the plan's budget is spent, the next append goes through.
@@ -173,10 +182,11 @@ fn enospc_surfaces_as_the_os_error() {
 /// write shim — the append succeeds and nothing is torn.
 #[test]
 fn eintr_storm_is_retried_to_completion() {
+    let plane = FaultPlane::acquire();
     let dir = TempDir::new("eintr");
     let path = dir.path().join(persist::BOUNDS_FILE);
     let mut appender = Appender::open(&path, StoreKind::Bounds).unwrap();
-    let _plan = PlanGuard::install("eintr=5@append.bounds");
+    plane.install("eintr=5@append.bounds");
     appender.append(&bound(9, 4)).unwrap();
     assert!(faults::hits("append.bounds") >= 5, "the storm was consumed");
     let (records, warnings) = persist::read_records(&path, StoreKind::Bounds).unwrap();
@@ -188,15 +198,15 @@ fn eintr_storm_is_retried_to_completion() {
 /// further append may stack records behind unremovable torn bytes.
 #[test]
 fn failed_rollback_seals_the_appender() {
+    let plane = FaultPlane::acquire();
     let dir = TempDir::new("seal");
     let path = dir.path().join(persist::BOUNDS_FILE);
     let mut appender = Appender::open(&path, StoreKind::Bounds).unwrap();
     appender.append(&bound(1, 2)).unwrap();
 
-    {
-        let _plan = PlanGuard::install("partial-write=7@append.bounds:1;error@truncate.bounds:1");
-        appender.append(&bound(2, 3)).unwrap_err();
-    }
+    plane.install("partial-write=7@append.bounds:1;error@truncate.bounds:1");
+    appender.append(&bound(2, 3)).unwrap_err();
+    plane.clear();
     assert!(appender.sealed());
     let refused = appender.append(&bound(3, 4)).unwrap_err();
     assert!(refused.to_string().contains("sealed"), "got: {refused}");
@@ -216,6 +226,7 @@ fn failed_rollback_seals_the_appender() {
 /// must recover both A and B.
 #[test]
 fn torn_append_followed_by_valid_appends_recovers_both_sides() {
+    let _plane = FaultPlane::acquire();
     let dir = TempDir::new("torn");
     let path = dir.path().join(persist::BOUNDS_FILE);
     let a = bound(0xA, 3);
@@ -249,15 +260,15 @@ fn torn_append_followed_by_valid_appends_recovers_both_sides() {
 /// removes it.
 #[test]
 fn interrupted_compaction_preserves_the_original_and_strands_a_tmp() {
+    let plane = FaultPlane::acquire();
     let dir = TempDir::new("compact");
     let path = dir.path().join(persist::BOUNDS_FILE);
     let original = vec![bound(1, 2), bound(2, 3)];
     persist::rewrite(&path, StoreKind::Bounds, &original, true).unwrap();
 
-    {
-        let _plan = PlanGuard::install("error-once@compact.sync");
-        persist::rewrite(&path, StoreKind::Bounds, &[bound(9, 9)], true).unwrap_err();
-    }
+    plane.install("error-once@compact.sync");
+    persist::rewrite(&path, StoreKind::Bounds, &[bound(9, 9)], true).unwrap_err();
+    plane.clear();
 
     let (records, warnings) = persist::read_records(&path, StoreKind::Bounds).unwrap();
     assert_eq!(records, original, "the original store is intact");
@@ -276,6 +287,7 @@ fn interrupted_compaction_preserves_the_original_and_strands_a_tmp() {
 /// surface the transition.
 #[test]
 fn persistent_append_failures_trip_degraded_memory_only_mode() {
+    let plane = FaultPlane::acquire();
     let dir = TempDir::new("degraded");
     let config = EngineConfig {
         durability: DurabilityPolicy {
@@ -298,7 +310,7 @@ fn persistent_append_failures_trip_degraded_memory_only_mode() {
 
     // Every disk append fails: each solve loses its bound record *and*
     // its result record, so one solve costs two consecutive failures.
-    let _plan = PlanGuard::install("error@append.results;error@append.bounds");
+    plane.install("error@append.results;error@append.bounds");
     let engine = Engine::with_cache_dir(config.clone(), dir.path()).unwrap();
     assert!(!engine.degraded());
     let (outcome, _) = engine.map(&chain(2), &cgra);
@@ -324,7 +336,7 @@ fn persistent_append_failures_trip_degraded_memory_only_mode() {
 
     // …so the on-disk store still carries only the (empty) header and a
     // restart comes back healthy with zero entries.
-    drop(_plan);
+    plane.clear();
     let engine = Engine::with_cache_dir(config, dir.path()).unwrap();
     assert!(!engine.degraded(), "degraded mode clears on restart");
     assert_eq!(engine.cache_stats().persistent_entries, 0);
@@ -335,6 +347,7 @@ fn persistent_append_failures_trip_degraded_memory_only_mode() {
 /// `fsync_every = 3`, three appends cost one fsync, not three.
 #[test]
 fn fsync_cadence_batches_syncs() {
+    let _plane = FaultPlane::acquire();
     let dir = TempDir::new("cadence");
     let config = EngineConfig {
         durability: DurabilityPolicy {

@@ -137,6 +137,12 @@ impl ClauseArena {
         self.wasted
     }
 
+    /// Makes room for `words` more words, so that a bulk load grows the
+    /// buffer once instead of by doubling.
+    pub(crate) fn reserve(&mut self, words: usize) {
+        self.data.reserve(words);
+    }
+
     /// Appends a clause record; `lits` must have at least 2 literals (unit
     /// and empty clauses never reach the store).
     pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {

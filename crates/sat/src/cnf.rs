@@ -12,6 +12,11 @@ use std::io::{BufRead, Write};
 /// no invariants beyond literals referring to allocated variables, which is
 /// checked on insertion.
 ///
+/// The store is flat: every clause's literals sit back to back in one
+/// buffer and a second one holds each clause's end offset, so adding a
+/// clause allocates nothing (amortised) and a formula of millions of
+/// clauses is two allocations, not one per clause.
+///
 /// ```
 /// use satmapit_sat::{CnfFormula, Solver, SolveResult};
 /// let mut f = CnfFormula::new();
@@ -26,7 +31,12 @@ use std::io::{BufRead, Write};
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CnfFormula {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    /// The literals of every clause, in insertion order, back to back.
+    lits: Vec<Lit>,
+    /// `ends[i]` is the offset in `lits` one past clause `i`'s last
+    /// literal (clause `i` starts where clause `i - 1` ends, the first
+    /// one at 0).
+    ends: Vec<u32>,
 }
 
 impl CnfFormula {
@@ -39,7 +49,7 @@ impl CnfFormula {
     pub fn with_vars(n: usize) -> CnfFormula {
         CnfFormula {
             num_vars: n,
-            clauses: Vec::new(),
+            ..CnfFormula::default()
         }
     }
 
@@ -64,12 +74,12 @@ impl CnfFormula {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Total number of literal occurrences across all clauses.
     pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(Vec::len).sum()
+        self.lits.len()
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -78,7 +88,8 @@ impl CnfFormula {
     ///
     /// # Panics
     ///
-    /// Panics if a literal refers to a variable that was never allocated.
+    /// Panics if a literal refers to a variable that was never allocated,
+    /// or if the formula would exceed 2^32 literal occurrences.
     pub fn add_clause(&mut self, lits: &[Lit]) {
         for lit in lits {
             assert!(
@@ -87,12 +98,30 @@ impl CnfFormula {
                 self.num_vars
             );
         }
-        self.clauses.push(lits.to_vec());
+        self.lits.extend_from_slice(lits);
+        self.close_clause();
     }
 
-    /// Iterates over the clauses.
+    /// Ends the clause whose literals were just appended to `lits`.
+    fn close_clause(&mut self) {
+        // Clause ends are u32 offsets: past 2^32 literals a new end would
+        // silently wrap into an earlier clause. Fail loudly instead — the
+        // check is one compare per clause.
+        assert!(
+            self.lits.len() <= u32::MAX as usize,
+            "formula exceeds the 2^32-literal clause offset space"
+        );
+        self.ends.push(self.lits.len() as u32);
+    }
+
+    /// Iterates over the clauses, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &[Lit]> {
-        self.clauses.iter().map(Vec::as_slice)
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let clause = &self.lits[start..end as usize];
+            start = end as usize;
+            clause
+        })
     }
 
     /// Evaluates the formula under a complete assignment
@@ -103,7 +132,7 @@ impl CnfFormula {
     /// Panics if `assignment.len() < self.num_vars()`.
     pub fn eval(&self, assignment: &[bool]) -> bool {
         assert!(assignment.len() >= self.num_vars);
-        self.clauses.iter().all(|clause| {
+        self.iter().all(|clause| {
             clause
                 .iter()
                 .any(|lit| assignment[lit.var().index()] == lit.is_positive())
@@ -116,8 +145,8 @@ impl CnfFormula {
     ///
     /// Propagates I/O errors from `writer`.
     pub fn write_dimacs<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writeln!(writer, "p cnf {} {}", self.num_vars, self.clauses.len())?;
-        for clause in &self.clauses {
+        writeln!(writer, "p cnf {} {}", self.num_vars, self.num_clauses())?;
+        for clause in self.iter() {
             for lit in clause {
                 write!(writer, "{} ", lit.to_dimacs())?;
             }
@@ -134,7 +163,6 @@ impl CnfFormula {
     /// Returns [`ParseDimacsError`] on malformed input or I/O failure.
     pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<CnfFormula, ParseDimacsError> {
         let mut formula = CnfFormula::new();
-        let mut current: Vec<Lit> = Vec::new();
         for (lineno, line) in reader.lines().enumerate() {
             let line = line.map_err(|e| ParseDimacsError {
                 line: lineno + 1,
@@ -167,16 +195,15 @@ impl CnfFormula {
                         if lit.var().index() >= formula.num_vars {
                             formula.num_vars = lit.var().index() + 1;
                         }
-                        current.push(lit);
+                        formula.lits.push(lit);
                     }
-                    None => {
-                        formula.clauses.push(std::mem::take(&mut current));
-                    }
+                    None => formula.close_clause(),
                 }
             }
         }
-        if !current.is_empty() {
-            formula.clauses.push(current);
+        // A last clause without its terminating 0 still counts.
+        if formula.lits.len() > formula.ends.last().map_or(0, |&end| end as usize) {
+            formula.close_clause();
         }
         Ok(formula)
     }
@@ -266,6 +293,68 @@ mod tests {
         f.write_dimacs(&mut buf).unwrap();
         let parsed = CnfFormula::parse_dimacs(buf.as_slice()).unwrap();
         assert_eq!(parsed, f);
+    }
+
+    /// Duplicates, a tautology, a unit and an empty clause, in that mix.
+    fn awkward() -> CnfFormula {
+        let x = |v: u32, positive: bool| Lit::new(Var::new(v), positive);
+        let mut f = CnfFormula::with_vars(5);
+        f.add_clause(&[x(0, true), x(1, false)]);
+        f.add_clause(&[]);
+        f.add_clause(&[x(2, true)]);
+        f.add_clause(&[x(0, false), x(1, true), x(4, false), x(4, true)]);
+        f.add_clause(&[x(3, true), x(3, true)]);
+        f
+    }
+
+    #[test]
+    fn iter_yields_every_clause_as_a_slice_in_order() {
+        assert_eq!(CnfFormula::with_vars(3).iter().count(), 0);
+        let mut only_empty = CnfFormula::new();
+        only_empty.add_clause(&[]);
+        only_empty.add_clause(&[]);
+        assert_eq!(only_empty.iter().collect::<Vec<_>>(), [&[][..], &[][..]]);
+
+        let f = awkward();
+        let lens: Vec<usize> = f.iter().map(<[Lit]>::len).collect();
+        assert_eq!(lens, [2, 0, 1, 4, 2]);
+        assert_eq!(f.num_clauses(), 5);
+        assert_eq!(f.num_literals(), 9);
+        assert_eq!(f.iter().nth(2).unwrap(), &[Var::new(2).positive()][..]);
+        assert!(!f.eval(&[true; 5]), "the empty clause falsifies");
+    }
+
+    #[test]
+    fn dimacs_round_trips_empty_clauses_and_an_unterminated_tail() {
+        let f = awkward();
+        let mut buf = Vec::new();
+        f.write_dimacs(&mut buf).unwrap();
+        assert_eq!(CnfFormula::parse_dimacs(buf.as_slice()).unwrap(), f);
+
+        let tail = CnfFormula::parse_dimacs("1 -2 0\n0\n3 -1".as_bytes()).unwrap();
+        let lens: Vec<usize> = tail.iter().map(<[Lit]>::len).collect();
+        assert_eq!(lens, [2, 0, 2]);
+    }
+
+    /// The share-pool compatibility class hashes the variable count and
+    /// the clauses in order; the values are the ones the nested-`Vec`
+    /// store (the commit before the flat one) computed for these formulas.
+    #[test]
+    fn formula_class_is_unchanged_by_the_flat_layout() {
+        use crate::encode::{at_most_k, exactly_one, AmoEncoding};
+        use crate::share::formula_class;
+        assert_eq!(formula_class(&awkward()), 0x8008_7dc6_933e_c320);
+
+        let mut f = CnfFormula::new();
+        let first = f.new_vars(8).index() as u32;
+        let lits: Vec<Lit> = (0..8).map(|i| Var::new(first + i).positive()).collect();
+        exactly_one(&mut f, &lits, AmoEncoding::Sequential);
+        at_most_k(&mut f, &lits[2..], 2);
+        assert_eq!(
+            (f.num_vars(), f.num_clauses(), f.num_literals()),
+            (25, 44, 97)
+        );
+        assert_eq!(formula_class(&f), 0xbfde_afde_f058_1e1a);
     }
 
     #[test]

@@ -43,6 +43,19 @@ impl ActivityHeap {
         self.sift_up(self.heap.len() - 1, act);
     }
 
+    /// Appends the variables of `vars`, none of them queued yet and all at
+    /// activity 0.0. That is the floor of the key range, so each
+    /// [`ActivityHeap::insert`] would stop its sift-up at once: appending
+    /// them in order leaves the heap exactly as one insert per variable.
+    pub fn append_cold(&mut self, vars: std::ops::Range<u32>) {
+        self.grow_to(vars.end as usize);
+        for v in vars {
+            debug_assert!(!self.contains(v));
+            self.pos[v as usize] = self.heap.len();
+            self.heap.push(v);
+        }
+    }
+
     pub fn pop_max(&mut self, act: &[f64]) -> Option<u32> {
         if self.heap.is_empty() {
             return None;

@@ -16,8 +16,9 @@
 //! *gated* behind an activation literal:
 //!
 //! 1. [`Solver::new_group`] allocates a fresh activation literal `g`.
-//! 2. [`Solver::add_clause_in_group`] adds each group clause `C` as
-//!    `C ∨ ¬g` — inert until `g` is assumed.
+//! 2. [`Solver::add_clause_in_group`] (or [`Solver::add_formula`], for a
+//!    whole formula at once) adds each group clause `C` as `C ∨ ¬g` —
+//!    inert until `g` is assumed.
 //! 3. [`Solver::solve_limited`] is called with `g` among the assumptions,
 //!    which switches the group on for that call only.
 //! 4. Once the group's question is answered, [`Solver::retire_group`]
@@ -322,6 +323,9 @@ pub struct Solver {
     any_activation: bool,
     /// Learnt-clause exchange with portfolio siblings, once connected.
     share: Option<ShareConn>,
+    /// Scratch literal buffer of the clause-adding paths, kept so that no
+    /// clause added or loaded pays for an allocation of its own.
+    add_buf: Vec<Lit>,
 }
 
 /// A live share connection (see [`Solver::connect_share`]).
@@ -376,6 +380,7 @@ impl Solver {
             is_activation: Vec::new(),
             any_activation: false,
             share: None,
+            add_buf: Vec::new(),
         }
     }
 
@@ -399,44 +404,43 @@ impl Solver {
     pub fn from_cnf_with(formula: &CnfFormula, options: &SolverOptions) -> Solver {
         let mut solver = Solver::with_options(options);
         solver.ensure_vars(formula.num_vars());
-        for clause in formula.iter() {
-            solver.add_clause(clause);
-        }
+        solver.add_formula(formula, 0, None);
         solver
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.assigns.len() as u32);
-        let phase = match &mut self.phase_rng {
-            Some(state) => {
+        self.ensure_vars(v.index() + 1);
+        v
+    }
+
+    /// Grows the variable pool so that at least `n` variables exist. Every
+    /// per-variable array grows in one step, whatever the count.
+    pub fn ensure_vars(&mut self, n: usize) {
+        let old = self.assigns.len();
+        if n <= old {
+            return;
+        }
+        self.assigns.resize(n, LBool::Undef);
+        self.decision.resize(n, true);
+        match &mut self.phase_rng {
+            Some(state) => self.polarity.extend((old..n).map(|_| {
                 // xorshift64: a stable pseudo-random initial polarity.
                 *state ^= *state << 13;
                 *state ^= *state >> 7;
                 *state ^= *state << 17;
                 *state & 1 == 1
-            }
-            None => false,
-        };
-        self.assigns.push(LBool::Undef);
-        self.decision.push(true);
-        self.polarity.push(phase);
-        self.activity.push(0.0);
-        self.reason.push(ClauseRef::NONE);
-        self.level.push(0);
-        self.seen.push(false);
-        self.is_activation.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.order.insert(v.index() as u32, &self.activity);
-        v
-    }
-
-    /// Grows the variable pool so that at least `n` variables exist.
-    pub fn ensure_vars(&mut self, n: usize) {
-        while self.assigns.len() < n {
-            self.new_var();
+            })),
+            None => self.polarity.resize(n, false),
         }
+        self.activity.resize(n, 0.0);
+        self.reason.resize(n, ClauseRef::NONE);
+        self.level.resize(n, 0);
+        self.seen.resize(n, false);
+        self.is_activation.resize(n, false);
+        self.watches.resize_with(2 * n, Vec::new);
+        self.order.append_cold(old as u32..n as u32);
     }
 
     /// Number of allocated variables.
@@ -462,73 +466,168 @@ impl Solver {
     /// Tautologies are dropped, duplicate literals merged, and literals
     /// already false at the top level removed.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_tracked(lits).0
+        self.add_one(lits, None).0
     }
 
-    /// [`Solver::add_clause`] that also reports the ref of the clause it
-    /// allocated, when the clause survived simplification as a real
-    /// (2+-literal) clause.
-    fn add_clause_tracked(&mut self, lits: &[Lit]) -> (bool, Option<ClauseRef>) {
-        self.add_clause_vec(lits.to_vec())
-    }
-
-    /// [`Solver::add_clause_tracked`] over an owned buffer — the gated
-    /// path ([`Solver::add_clause_in_group`]) builds its `C ∨ ¬g` clause
-    /// once and hands it over instead of paying a second copy per clause
-    /// (group deltas are added in the hundreds of thousands per
-    /// incremental rung).
-    fn add_clause_vec(&mut self, mut ls: Vec<Lit>) -> (bool, Option<ClauseRef>) {
-        debug_assert_eq!(self.decision_level(), 0);
+    /// Adds the single clause `lits ∨ gate`: the body of
+    /// [`Solver::add_clause`] and [`Solver::add_clause_in_group`].
+    fn add_one(&mut self, lits: &[Lit], gate: Option<Lit>) -> (bool, Option<ClauseRef>) {
         if !self.ok {
             return (false, None);
         }
-        // Any clause added after a share connection was opened is local to
-        // this solver (e.g. a register-allocation cut): later learnt
-        // clauses may depend on it, so exporting them to siblings — which
-        // only share the original formula — would be unsound.
+        self.forbid_exports();
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend_from_slice(lits);
+        buf.extend(gate);
+        let added = self.add_lits(&mut buf, gate);
+        self.add_buf = buf;
+        added
+    }
+
+    /// Loads every clause of `formula`, in order, with its variables
+    /// shifted up by `base` — into the clause group of activation literal
+    /// `group` when one is given, as permanent clauses otherwise. The
+    /// variables `base..base + formula.num_vars()` (and the group's) must
+    /// exist already. Returns `false` if the formula became trivially
+    /// unsatisfiable.
+    ///
+    /// Clause for clause this stores, enqueues and watches exactly what a
+    /// loop over [`Solver::add_clause`] / [`Solver::add_clause_in_group`]
+    /// with shifted literals would (`crates/sat/tests/load.rs` pins it);
+    /// it only does the per-call work once: the group's member list is
+    /// looked up once, the arena grows once, and one literal buffer serves
+    /// every clause.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shifted variable block is not allocated.
+    pub fn add_formula(&mut self, formula: &CnfFormula, base: u32, group: Option<Lit>) -> bool {
+        assert!(
+            base as usize + formula.num_vars() <= self.num_vars(),
+            "formula of {} vars at base {base} out of range ({} vars)",
+            formula.num_vars(),
+            self.num_vars()
+        );
+        if !self.ok || formula.num_clauses() == 0 {
+            return self.ok;
+        }
+        self.forbid_exports();
+        debug_assert!(
+            group.is_none_or(Lit::is_positive),
+            "activation literals are positive by convention"
+        );
+        let gate = group.map(|g| !g);
+        // An upper bound (no clause simplified away): header + literals,
+        // plus the gate literal of every group clause.
+        let words_per_clause = 1 + usize::from(gate.is_some());
+        self.ca
+            .reserve(formula.num_literals() + words_per_clause * formula.num_clauses());
+        let mut members = match group {
+            Some(g) => self
+                .groups
+                .remove(&(g.var().index() as u32))
+                .unwrap_or_default(),
+            None => Vec::new(),
+        };
+        let mut buf = std::mem::take(&mut self.add_buf);
+        for clause in formula.iter() {
+            buf.clear();
+            buf.extend(clause.iter().map(|l| l.shifted_by(base)));
+            buf.extend(gate);
+            let (ok, stored) = self.add_lits(&mut buf, gate);
+            if group.is_some() {
+                members.extend(stored);
+            }
+            if !ok {
+                break; // nothing is added to a refuted solver
+            }
+        }
+        self.add_buf = buf;
+        if let Some(g) = group {
+            self.groups.insert(g.var().index() as u32, members);
+        }
+        self.ok
+    }
+
+    /// Any clause added after a share connection was opened is local to
+    /// this solver (e.g. a register-allocation cut): later learnt clauses
+    /// may depend on it, so exporting them to siblings — which only share
+    /// the original formula — would be unsound.
+    fn forbid_exports(&mut self) {
         if let Some(conn) = &mut self.share {
             conn.export_ok = false;
         }
-        for l in &ls {
+    }
+
+    /// Sorts `ls`, merges duplicate literals and drops the literals false
+    /// at the top level, in place. Returns `false` when the clause is
+    /// redundant — a tautology, or already satisfied at the top level.
+    /// Must be called at decision level 0.
+    fn simplify_at_top(&self, ls: &mut Vec<Lit>) -> bool {
+        debug_assert_eq!(self.decision_level(), 0);
+        ls.sort_unstable();
+        ls.dedup();
+        let mut kept = 0;
+        for i in 0..ls.len() {
+            let l = ls[i];
+            if i + 1 < ls.len() && ls[i + 1] == !l {
+                return false; // tautology: l and ¬l adjacent after sort
+            }
+            match self.lit_value(l) {
+                LBool::True => return false, // already satisfied
+                LBool::False => {}           // drop falsified literal
+                LBool::Undef => {
+                    ls[kept] = l;
+                    kept += 1;
+                }
+            }
+        }
+        ls.truncate(kept);
+        true
+    }
+
+    /// The one way a problem clause enters the solver: `ls` holds the
+    /// clause (including `gate`, the negated activation literal of its
+    /// group, when it has one) and is simplified in place, then refutes
+    /// the solver (empty), is enqueued and propagated (unit), or is stored
+    /// and watched. Reports whether the solver is still consistent and the
+    /// ref of the clause stored, if one was. The solver must be `ok`.
+    fn add_lits(&mut self, ls: &mut Vec<Lit>, gate: Option<Lit>) -> (bool, Option<ClauseRef>) {
+        for l in ls.iter() {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l} out of range ({} vars)",
                 self.num_vars()
             );
         }
-        ls.sort_unstable();
-        ls.dedup();
-        // Tautology / top-level simplification.
-        let mut simplified: Vec<Lit> = Vec::with_capacity(ls.len());
-        let mut i = 0;
-        while i < ls.len() {
-            let l = ls[i];
-            if i + 1 < ls.len() && ls[i + 1] == !l {
-                return (true, None); // tautology: l and ¬l adjacent after sort
-            }
-            match self.lit_value(l) {
-                LBool::True => return (true, None), // already satisfied
-                LBool::False => {}                  // drop falsified literal
-                LBool::Undef => simplified.push(l),
-            }
-            i += 1;
+        if !self.simplify_at_top(ls) {
+            return (true, None);
         }
-        match simplified.len() {
+        match ls.len() {
             0 => {
                 self.ok = false;
                 (false, None)
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], ClauseRef::NONE);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                    (false, None)
-                } else {
-                    (true, None)
-                }
+                self.unchecked_enqueue(ls[0], ClauseRef::NONE);
+                self.ok = self.propagate().is_none();
+                (self.ok, None)
             }
-            _ => {
-                let ci = self.alloc_clause(&simplified, false, 0);
+            len => {
+                // Keep the gate out of the watched positions (0 and 1) when
+                // the clause has enough other literals: every group clause
+                // carries it, so watching it would pile the whole group
+                // onto one watch list and make each rung's opening
+                // `assume(group)` propagation visit every such clause just
+                // to move its watch. Any two literals are a valid watch
+                // pair at add time (all Undef), so demoting it is free.
+                if len > 2 {
+                    if let Some(at) = ls[..2].iter().position(|&l| Some(l) == gate) {
+                        ls.swap(at, len - 1);
+                    }
+                }
+                let ci = self.alloc_clause(ls, false, 0);
                 self.attach_clause(ci);
                 self.stats.added_clauses += 1;
                 (true, Some(ci))
@@ -562,53 +661,14 @@ impl Solver {
             group.is_positive(),
             "activation literals are positive by convention"
         );
-        let mut gated = Vec::with_capacity(lits.len() + 1);
-        gated.extend_from_slice(lits);
-        gated.push(!group);
-        let (ok, allocated) = self.add_clause_vec(gated);
-        if let Some(ci) = allocated {
-            // Keep ¬group out of the watched positions (0 and 1) when the
-            // clause has enough other literals: every group clause carries
-            // ¬group, so watching it would pile the whole group onto one
-            // watch list and make each rung's opening `assume(group)`
-            // propagation visit every such clause just to move its watch.
-            // Any two literals are a valid watch pair at add time (all
-            // Undef), so demoting ¬group is free.
-            let len = self.ca.len(ci);
-            if len > 2 {
-                for i in 0..2 {
-                    if self.ca.lit(ci, i) == !group {
-                        let old = self.ca.lit(ci, i);
-                        let new = self.ca.lit(ci, len - 1);
-                        self.ca.swap_lits(ci, i, len - 1);
-                        self.rewatch(ci, old, new);
-                    }
-                }
-            }
+        let (ok, stored) = self.add_one(lits, Some(!group));
+        if let Some(ci) = stored {
             self.groups
                 .entry(group.var().index() as u32)
                 .or_default()
                 .push(ci);
         }
         ok
-    }
-
-    /// Repoints the watcher of `ci` that watched `old` to watch `new`
-    /// instead (both literals belong to `ci`; `new` now sits in a watched
-    /// position). Used right after allocation, while the clause's watch
-    /// lists are still hot.
-    fn rewatch(&mut self, ci: ClauseRef, old: Lit, new: Lit) {
-        let ws = &mut self.watches[(!old).code()];
-        let at = ws
-            .iter()
-            .position(|w| w.clause == ci)
-            .expect("freshly attached clause is watched");
-        let blocker = ws[at].blocker;
-        ws.swap_remove(at);
-        self.watches[(!new).code()].push(Watcher {
-            clause: ci,
-            blocker,
-        });
     }
 
     /// Retires a clause group: asserts `¬group` at the top level, which
@@ -1287,39 +1347,29 @@ impl Solver {
 
     /// Installs one imported clause as a learnt record: simplified
     /// against the top level, enqueued if unit, attached if longer.
-    /// Mirrors [`Solver::add_clause_vec`] except the clause is stored as
+    /// Mirrors [`Solver::add_lits`] except the clause is stored as
     /// *learnt* (so database reduction can evict it) and is never
     /// re-exported or counted as a problem clause.
     fn add_imported_clause(&mut self, lits: &[Lit], lbd: u32) {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        let mut simplified: Vec<Lit> = Vec::with_capacity(ls.len());
-        for (i, &l) in ls.iter().enumerate() {
-            if i + 1 < ls.len() && ls[i + 1] == !l {
-                return; // tautology (defensive; conflicts never learn these)
-            }
-            match self.lit_value(l) {
-                LBool::True => return, // already satisfied at the top level
-                LBool::False => {}     // falsified literal dropped
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => self.ok = false,
-            1 => {
-                self.unchecked_enqueue(simplified[0], ClauseRef::NONE);
-                if self.propagate().is_some() {
-                    self.ok = false;
+        let mut ls = std::mem::take(&mut self.add_buf);
+        ls.clear();
+        ls.extend_from_slice(lits);
+        // A redundant clause (defensively also a tautology; conflicts
+        // never learn these) is dropped.
+        if self.simplify_at_top(&mut ls) {
+            match ls.len() {
+                0 => self.ok = false,
+                1 => {
+                    self.unchecked_enqueue(ls[0], ClauseRef::NONE);
+                    self.ok = self.propagate().is_none();
+                }
+                len => {
+                    let ci = self.alloc_clause(&ls, true, lbd.clamp(1, len as u32));
+                    self.attach_clause(ci);
                 }
             }
-            _ => {
-                let lbd = lbd.clamp(1, simplified.len() as u32);
-                let ci = self.alloc_clause(&simplified, true, lbd);
-                self.attach_clause(ci);
-            }
         }
+        self.add_buf = ls;
     }
 
     /// Excludes `var` from (or re-admits it to) branching decisions.
@@ -1730,6 +1780,67 @@ mod tests {
         let m1 = seeded.model().unwrap().to_vec();
         assert!(m0.iter().all(|&b| !b));
         assert_ne!(m0, m1, "seeded phases should differ somewhere");
+    }
+
+    #[test]
+    fn growing_the_pool_in_one_step_matches_one_variable_at_a_time() {
+        let options = SolverOptions {
+            phase_seed: Some(0x5EED),
+            ..SolverOptions::default()
+        };
+        let mut bulk = Solver::with_options(&options);
+        let mut single = Solver::with_options(&options);
+        bulk.ensure_vars(3);
+        bulk.ensure_vars(2); // never shrinks
+        bulk.ensure_vars(40);
+        for _ in 0..40 {
+            let _ = single.new_var();
+        }
+        assert_eq!(bulk.num_vars(), 40);
+        assert_eq!(bulk.polarity, single.polarity, "one rng step a variable");
+        assert_eq!(bulk.watches.len(), 80);
+        // Same branching order: an unconstrained solve decides every
+        // variable, in heap order, at its seeded phase.
+        assert_eq!(bulk.solve(), single.solve());
+        assert_eq!(bulk.trail, single.trail);
+    }
+
+    #[test]
+    fn the_gate_is_never_watched_in_a_clause_with_two_other_literals() {
+        // The group opens before the variables, so ¬g sorts first in every
+        // clause and would be watched without the demotion.
+        for bulk in [false, true] {
+            let mut s = Solver::new();
+            let g = s.new_group();
+            let base = s.num_vars() as u32;
+            let mut f = crate::cnf::CnfFormula::with_vars(4);
+            let x = |v: u32| Var::new(v).positive();
+            f.add_clause(&[x(0)]); // stored as the binary x0 ∨ ¬g
+            f.add_clause(&[x(1), x(2)]);
+            f.add_clause(&[x(3), x(2), x(1), x(3)]);
+            s.ensure_vars(base as usize + 4);
+            if bulk {
+                s.add_formula(&f, base, Some(g));
+            } else {
+                for clause in f.iter() {
+                    let shifted: Vec<Lit> = clause.iter().map(|l| l.shifted_by(base)).collect();
+                    s.add_clause_in_group(g, &shifted);
+                }
+            }
+            assert_eq!(s.stats().added_clauses, 3);
+            // Clauses watching ¬g sit on the list visited when g turns true.
+            let watching: Vec<usize> = s.watches[g.code()]
+                .iter()
+                .map(|w| s.ca.len(w.clause))
+                .collect();
+            assert_eq!(watching, [2], "bulk={bulk}: only the binary has no choice");
+            for members in s.groups.values() {
+                for &ci in members {
+                    assert!(s.ca.contains(ci, !g), "every member keeps its gate");
+                }
+            }
+            assert_eq!(s.solve_with_assumptions(&[g]), SolveResult::Sat);
+        }
     }
 
     #[test]

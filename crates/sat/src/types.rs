@@ -86,6 +86,13 @@ impl Lit {
         self.0 & 1 == 0
     }
 
+    /// The same literal over the variable `vars` indices further up — how
+    /// a formula over its own variables `0..n` is placed at a base offset
+    /// inside a longer-lived solver.
+    pub fn shifted_by(self, vars: u32) -> Lit {
+        Lit(self.0 + (vars << 1))
+    }
+
     /// Dense code in `0..2*num_vars`, suitable for watch-list indexing.
     pub fn code(self) -> usize {
         self.0 as usize
