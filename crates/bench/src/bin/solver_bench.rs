@@ -1,6 +1,6 @@
-//! The SAT-core ablation bench: the live II ladder with arena GC on/off
-//! (the scratch-loop and transfer-off columns were retired with their
-//! options; `docs/solver.md` records their final numbers), a SAT-vs-morph
+//! The SAT-core bench: the live II ladder (the scratch-loop, transfer-off
+//! and GC-off columns were retired with their options; `docs/solver.md`
+//! records their final numbers), a SAT-vs-morph
 //! backend head-to-head on every grid (`ladder_latency_us.<grid>.<backend>`),
 //! and the arena-waste measurement after a full multi-rung ladder —
 //! emitted as machine-readable JSON (`BENCH_solver.json`) so CI and the
@@ -139,23 +139,10 @@ struct Variant {
 }
 
 fn variants() -> Vec<Variant> {
-    let base = MapperConfig::default();
-    vec![
-        Variant {
-            label: "incremental",
-            config: base.clone(),
-        },
-        Variant {
-            label: "incremental_gc_off",
-            config: MapperConfig {
-                solver: satmapit_sat::SolverOptions {
-                    gc: false,
-                    ..Default::default()
-                },
-                ..base
-            },
-        },
-    ]
+    vec![Variant {
+        label: "incremental",
+        config: MapperConfig::default(),
+    }]
 }
 
 /// Drives one full live ladder by hand (rung after rung until the

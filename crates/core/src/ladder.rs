@@ -74,7 +74,7 @@ use satmapit_cgra::{Cgra, PeId};
 use satmapit_dfg::Dfg;
 use satmapit_sat::encode::{exactly_one, AmoEncoding};
 use satmapit_sat::{
-    CnfFormula, Lit, SolveLimits, SolveResult, Solver, SolverStats, StopReason, Var,
+    CnfFormula, Counters, Lit, SolveLimits, SolveResult, Solver, SolverStats, StopReason, Var,
 };
 use satmapit_schedule::Kms;
 use std::time::Instant;
@@ -228,26 +228,6 @@ fn rung_transfer_pairs(
     pairs
 }
 
-fn stats_delta(now: &SolverStats, before: &SolverStats) -> SolverStats {
-    SolverStats {
-        decisions: now.decisions - before.decisions,
-        propagations: now.propagations - before.propagations,
-        conflicts: now.conflicts - before.conflicts,
-        restarts: now.restarts - before.restarts,
-        gc_runs: now.gc_runs - before.gc_runs,
-        lits_reclaimed: now.lits_reclaimed - before.lits_reclaimed,
-        shared_exported: now.shared_exported - before.shared_exported,
-        shared_imported: now.shared_imported - before.shared_imported,
-        shared_dropped: now.shared_dropped - before.shared_dropped,
-        // Gauges / whole-solver counters stay absolute.
-        learnt_clauses: now.learnt_clauses,
-        removed_clauses: now.removed_clauses,
-        added_clauses: now.added_clauses,
-        arena_wasted: now.arena_wasted,
-        arena_words: now.arena_words,
-    }
-}
-
 /// Loads the encoded rung `enc` into `solver` using the gated
 /// formulation and attempts it: the per-II encoding is appended as a
 /// fresh clause group, solved under its activation literal, and
@@ -267,6 +247,9 @@ pub(crate) fn attempt_gated(
     limits: &SolveLimits,
     t_ii: Instant,
 ) -> GatedAttempt {
+    // The rung's effort is what the live solver does from here on — the
+    // clause load included, as in a one-shot attempt.
+    let stats_before = solver.stats().clone();
     let base = solver.num_vars() as u32;
     solver.ensure_vars(base as usize + enc.formula.num_vars());
     let gate = solver.new_group();
@@ -297,7 +280,10 @@ pub(crate) fn attempt_gated(
         solver.on_rung_advance(&pairs, RUNG_ACTIVITY_SCALE);
     }
 
-    let result = solve_rung(prepared, solver, &enc, kms, Some(gate), base, limits, t_ii);
+    let mut result = solve_rung(prepared, solver, &enc, kms, Some(gate), base, limits, t_ii);
+    if let Ok(AttemptReport { attempt, .. }) = &mut result {
+        attempt.solver_stats = Some(solver.stats().delta_since(&stats_before));
+    }
     GatedAttempt {
         result,
         gate,
@@ -310,11 +296,11 @@ pub(crate) fn attempt_gated(
 /// only one in the workspace. `enc` must already be loaded into `solver`
 /// with its variables shifted up by `base`. With a `gate`, the rung lives
 /// in that assumption-gated clause group of a longer-lived solver: solves
-/// assume the gate, register-allocation cuts join the group, and the
-/// reported effort is the delta over this call. Without one, `solver` was
-/// built for this rung alone: solves run unassumed, cuts are plain
-/// clauses, and the reported effort is the solver's whole life, clause
-/// load included.
+/// assume the gate and register-allocation cuts join the group. Without
+/// one, `solver` was built for this rung alone: solves run unassumed and
+/// cuts are plain clauses. Either way the reported effort is the solver's
+/// whole life, clause load included — `attempt_gated` narrows it to the
+/// rung's own share of a live solver.
 #[allow(clippy::too_many_arguments)] // internal plumbing of one rung
 pub(crate) fn solve_rung(
     prepared: &PreparedMapper<'_>,
@@ -328,10 +314,6 @@ pub(crate) fn solve_rung(
 ) -> Result<AttemptReport, MapFailure> {
     let config = &prepared.config;
     let ii = kms.ii();
-    let stats_before = match gate {
-        Some(_) => solver.stats().clone(),
-        None => SolverStats::default(),
-    };
     let mut cuts = 0u32;
     let mut last_ra_error = None;
     let (outcome, mapped, proven_unmappable) = loop {
@@ -404,7 +386,7 @@ pub(crate) fn solve_rung(
             ii,
             encode_stats: enc.stats.clone(),
             outcome,
-            solver_stats: Some(stats_delta(solver.stats(), &stats_before)),
+            solver_stats: Some(solver.stats().clone()),
             ra_cuts: cuts,
             elapsed: t_ii.elapsed(),
         },
@@ -705,5 +687,35 @@ pub(crate) mod tests {
             .map(|a| (a.ii, a.solver_stats.is_some()))
             .collect();
         assert_eq!(trace, [(1, false), (2, false), (3, true)]);
+    }
+
+    /// `added_clauses` is a sum like every other event counter: a live
+    /// rung reports the clauses *it* added (its load plus any cuts), like
+    /// a one-shot attempt of the same rung — not the running total since
+    /// the ladder opened.
+    #[test]
+    fn a_live_rung_reports_its_own_added_clauses() {
+        let kernel = satmapit_kernels::by_name("sha").unwrap();
+        let cgra = Cgra::square(2);
+        let prepared = Mapper::new(&kernel.dfg, &cgra).prepare().unwrap();
+        let mut ladder = prepared.ladder().unwrap();
+        let opened = ladder.solver.stats().added_clauses;
+        let mut per_rung = Vec::new();
+        for ii in prepared.start_ii().. {
+            let before = ladder.solver.stats().added_clauses;
+            let report = ladder.attempt_ii(ii, &SolveLimits::none()).unwrap();
+            let after = ladder.solver.stats().added_clauses;
+            if let Some(stats) = &report.attempt.solver_stats {
+                assert_eq!(stats.added_clauses, after - before, "ii={ii}");
+                per_rung.push(stats.added_clauses);
+            }
+            if report.mapped.is_some() {
+                break;
+            }
+        }
+        assert!(per_rung.len() >= 2, "sha at 2x2 solves several rungs");
+        let total = ladder.solver.stats().added_clauses - opened;
+        assert_eq!(per_rung.iter().sum::<u64>(), total);
+        assert!(*per_rung.last().unwrap() < total, "not a running total");
     }
 }

@@ -7,7 +7,7 @@ use satmapit_cgra::Cgra;
 use satmapit_dfg::{Dfg, DfgError};
 use satmapit_regalloc::{RegAllocError, RegAllocation};
 use satmapit_sat::encode::AmoEncoding;
-use satmapit_sat::{SolveLimits, Solver, SolverOptions, SolverStats, StopReason};
+use satmapit_sat::{Counters, SolveLimits, Solver, SolverOptions, SolverStats, StopReason};
 use satmapit_schedule::{mii, Kms, MobilitySchedule};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -498,10 +498,10 @@ pub(crate) fn failure_label(failure: &MapFailure) -> &'static str {
     }
 }
 
-/// Runs one II attempt under a `rung` span: outcome plus the
-/// solver-effort deltas (conflicts / propagations / restarts / GC /
-/// sharing) — and, when those deltas are nonzero, companion `gc` and
-/// `share` instants so the categories are filterable on the timeline.
+/// Runs one II attempt under a `rung` span: outcome plus every
+/// [`SolverStats`] counter of the attempt — and, when the GC or sharing
+/// counters are nonzero, companion `gc` and `share` instants so the
+/// categories are filterable on the timeline.
 /// Shared by the one-shot [`PreparedMapper::attempt_ii`], the live
 /// [`crate::ladder::IiLadder::attempt_ii`], and out-of-crate
 /// [`crate::backend::Backend`] implementations (so every backend's rungs
@@ -543,18 +543,11 @@ pub fn traced_rung(
         Err(_) => None,
     };
     if let Some(stats) = stats {
-        for (key, value) in [
-            ("conflicts", stats.conflicts),
-            ("propagations", stats.propagations),
-            ("decisions", stats.decisions),
-            ("restarts", stats.restarts),
-            ("gc_runs", stats.gc_runs),
-            ("lits_reclaimed", stats.lits_reclaimed),
-            ("shared_exported", stats.shared_exported),
-            ("shared_imported", stats.shared_imported),
-        ] {
-            args.push((key, ArgValue::Int(value as i64)));
-        }
+        args.extend(
+            stats
+                .fields()
+                .map(|(name, _, value)| (name, ArgValue::Int(value as i64))),
+        );
     }
     let dur_us = end_us.saturating_sub(start_us);
     trace::complete(

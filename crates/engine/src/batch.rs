@@ -12,10 +12,12 @@ use std::time::{Duration, Instant};
 
 use crate::fingerprint::{fingerprint, problem_fingerprint, Fingerprint};
 use crate::persist::{self, Appender, StoreKind};
-use crate::race::{map_raced_with_bound, EngineOutcome};
+use crate::race::{map_raced_with_bound, EngineOutcome, RaceStats};
 use crate::EngineConfig;
 use satmapit_core::AttemptOutcome;
 use satmapit_obs as obs;
+use satmapit_sat::counters::index_of;
+use satmapit_sat::{CounterKind, Counters};
 
 /// One mapping request in a batch.
 #[derive(Debug, Clone)]
@@ -55,81 +57,101 @@ pub struct BatchItem {
     pub elapsed: Duration,
 }
 
-/// Cache occupancy and traffic counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Distinct results currently held.
-    pub entries: usize,
-    /// Requests answered from the cache.
-    pub hits: u64,
-    /// Requests that had to solve.
-    pub misses: u64,
-    /// Problems with a proven II lower bound on record (kept across
-    /// execution-config changes and even across results the result cache
-    /// refuses to hold, like timeouts).
-    pub bound_entries: usize,
-    /// Entries that came from the on-disk store at startup (0 without
-    /// persistence).
-    pub persistent_entries: usize,
-    /// Hits answered by an entry loaded from disk — repeat lookups that
-    /// never touched the SAT solver in *this* process's lifetime.
-    pub persistent_hits: u64,
-    /// Misses whose II ladder started from a previously proven lower
-    /// bound instead of the MII — rungs below it were skipped unsolved.
-    pub bound_starts: u64,
-    /// Clause-arena garbage collections across every solve this engine
-    /// ran (summed from the per-attempt [`satmapit_sat::SolverStats`]).
-    pub gc_runs: u64,
-    /// Literal slots reclaimed by those collections, summed likewise.
-    pub lits_reclaimed: u64,
-    /// The largest post-solve arena waste (in words) any attempt left
-    /// behind — an upper bound on how much dead clause memory a single
-    /// solver carried at once.
-    pub arena_wasted: u64,
-    /// Learnt clauses exported to portfolio share pools across every race
-    /// this engine ran (cancelled siblings included; see
-    /// [`crate::RaceStats::shared_exported`]). 0 with sharing off.
-    pub shared_exported: u64,
-    /// Sibling clauses imported at restart boundaries, summed likewise.
-    pub shared_imported: u64,
-    /// Share-pool ring evictions, summed likewise.
-    pub shared_dropped: u64,
-    /// Races won by a SAT lane (the winning mapping came from the SAT
-    /// backend), summed across every solve this engine ran (see
-    /// [`crate::RaceStats::sat_wins`]).
-    pub sat_wins: u64,
-    /// Races won by the morph lane, summed likewise.
-    pub morph_wins: u64,
-    /// Cross-backend bound exchanges: II closures where one backend's
-    /// `Unsat` proof spared the other backend the rung (see
-    /// [`crate::RaceStats::bound_exchanges`]). 0 outside
-    /// [`crate::BackendKind::Race`].
-    pub bound_exchanges: u64,
-    /// Result-cache entries evicted by the size bound
-    /// ([`crate::CacheLifecycle::max_entries`]), least-recently-used
-    /// first. 0 with the default unbounded lifecycle.
-    pub evicted_size: u64,
-    /// Result-cache entries evicted by the age bound
-    /// ([`crate::CacheLifecycle::max_age`]).
-    pub evicted_age: u64,
-    /// Store-compaction generations completed so far: incremental
-    /// compactions triggered by
-    /// [`crate::CacheLifecycle::compact_every`] plus explicit
-    /// [`Engine::compact_persistent`] calls. 0 without persistence.
-    pub compactions: u64,
-    /// Failed store appends/fsyncs since startup (0 without
-    /// persistence). Solving is unaffected — the failed record simply
-    /// is not durable.
-    pub append_errors: u64,
-    /// fsyncs issued by the append cadence
-    /// ([`crate::DurabilityPolicy::fsync_every`]).
-    pub fsyncs: u64,
-    /// `true` once consecutive append failures crossed
-    /// [`crate::DurabilityPolicy::max_append_failures`] and the engine
-    /// entered degraded memory-only mode: it keeps answering (and
-    /// solving) from memory but no longer touches the disk. Cleared
-    /// only by restart.
-    pub degraded: bool,
+satmapit_sat::counters! {
+    /// Cache occupancy and traffic counters. The `u64` counters are a
+    /// table (see [`mod@satmapit_sat::counters`]): the engine keeps one atomic
+    /// per entry, and the wire `stats` object and `batch --stats` list
+    /// them from the declaration. A counter whose name [`RaceStats`] or
+    /// [`satmapit_sat::SolverStats`] also declares is fed from every solve
+    /// this engine runs (see [`Engine::cache_stats`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CacheStats {
+        /// Distinct results currently held.
+        pub entries: usize,
+        /// Problems with a proven II lower bound on record (kept across
+        /// execution-config changes and even across results the result
+        /// cache refuses to hold, like timeouts).
+        pub bound_entries: usize,
+        /// Entries that came from the on-disk store at startup (0 without
+        /// persistence).
+        pub persistent_entries: usize,
+        /// `true` once consecutive append failures crossed
+        /// [`crate::DurabilityPolicy::max_append_failures`] and the engine
+        /// entered degraded memory-only mode: it keeps answering (and
+        /// solving) from memory but no longer touches the disk. Cleared
+        /// only by restart.
+        pub degraded: bool,
+    }
+    counters {
+        /// Requests answered from the cache.
+        hits: sum,
+        /// Requests that had to solve.
+        misses: sum,
+        /// Hits answered by an entry loaded from disk — repeat lookups
+        /// that never touched the SAT solver in *this* process's lifetime.
+        persistent_hits: sum,
+        /// Misses whose II ladder started from a previously proven lower
+        /// bound instead of the MII — rungs below it were skipped unsolved.
+        bound_starts: sum,
+        /// Clause-arena garbage collections across every solve this engine
+        /// ran (summed from the per-attempt [`satmapit_sat::SolverStats`]).
+        gc_runs: sum,
+        /// Literal slots reclaimed by those collections, summed likewise.
+        lits_reclaimed: sum,
+        /// The largest post-solve arena waste (in words) any attempt left
+        /// behind — an upper bound on how much dead clause memory a single
+        /// solver carried at once.
+        arena_wasted: peak,
+        /// Learnt clauses exported to portfolio share pools across every
+        /// race this engine ran (cancelled siblings included; see
+        /// [`crate::RaceStats::shared_exported`]). 0 with sharing off.
+        shared_exported: sum,
+        /// Sibling clauses imported at restart boundaries, summed likewise.
+        shared_imported: sum,
+        /// Share-pool ring evictions, summed likewise.
+        shared_dropped: sum,
+        /// Races won by a SAT lane (the winning mapping came from the SAT
+        /// backend), summed across every solve this engine ran (see
+        /// [`crate::RaceStats::sat_wins`]).
+        sat_wins: sum,
+        /// Races won by the morph lane, summed likewise.
+        morph_wins: sum,
+        /// Cross-backend bound exchanges: II closures where one backend's
+        /// `Unsat` proof spared the other backend the rung (see
+        /// [`crate::RaceStats::bound_exchanges`]). 0 outside
+        /// [`crate::BackendKind::Race`].
+        bound_exchanges: sum,
+        /// Result-cache entries evicted by the size bound
+        /// ([`crate::CacheLifecycle::max_entries`]), least-recently-used
+        /// first. 0 with the default unbounded lifecycle.
+        evicted_size: sum,
+        /// Result-cache entries evicted by the age bound
+        /// ([`crate::CacheLifecycle::max_age`]).
+        evicted_age: sum,
+        /// Store-compaction generations completed so far: incremental
+        /// compactions triggered by
+        /// [`crate::CacheLifecycle::compact_every`] plus explicit
+        /// [`Engine::compact_persistent`] calls. 0 without persistence.
+        compactions: sum,
+        /// Failed store appends/fsyncs since startup (0 without
+        /// persistence). Solving is unaffected — the failed record simply
+        /// is not durable.
+        append_errors: sum,
+        /// fsyncs issued by the append cadence
+        /// ([`crate::DurabilityPolicy::fsync_every`]).
+        fsyncs: sum,
+    }
+}
+
+/// The position of the [`CacheStats`] counter `name` in [`Engine`]'s
+/// counter array, for the counters the engine bumps itself. Meant for
+/// `const` contexts: there a name the table does not declare fails the
+/// build.
+const fn slot(name: &str) -> usize {
+    match index_of(CacheStats::TABLE, name) {
+        Some(i) => i,
+        None => panic!("not a CacheStats counter"),
+    }
 }
 
 /// Where a served result came from.
@@ -192,35 +214,13 @@ pub struct Engine {
     /// that died at the deadline still donates the rungs it closed, so
     /// the retry starts its ladder higher.
     bounds: Mutex<HashMap<Fingerprint, u32>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    persistent_hits: AtomicU64,
-    bound_starts: AtomicU64,
-    /// Solver-level GC telemetry, summed over every attempt of every
-    /// solve this engine ran (see [`CacheStats::gc_runs`] & friends).
-    gc_runs: AtomicU64,
-    lits_reclaimed: AtomicU64,
-    /// Peak post-solve arena waste in words (fetch_max, not a sum).
-    arena_wasted: AtomicU64,
-    /// Portfolio clause-sharing traffic, summed over every race (see
-    /// [`CacheStats::shared_exported`] & friends).
-    shared_exported: AtomicU64,
-    shared_imported: AtomicU64,
-    shared_dropped: AtomicU64,
-    /// Cross-backend race outcomes, summed over every race (see
-    /// [`CacheStats::sat_wins`] & friends).
-    sat_wins: AtomicU64,
-    morph_wins: AtomicU64,
-    bound_exchanges: AtomicU64,
+    /// One atomic per [`CacheStats`] counter, in table order: bumped one
+    /// event at a time ([`Engine::bump`]), fed a whole solve at a time
+    /// ([`Engine::absorb`]), read by [`Engine::cache_stats`].
+    counters: [AtomicU64; CacheStats::TABLE.len()],
     /// Monotone access clock for LRU eviction: every cache touch takes
     /// a ticket and stamps the entry.
     tick: AtomicU64,
-    /// Entries evicted by the size bound (see
-    /// [`CacheStats::evicted_size`]).
-    evicted_size: AtomicU64,
-    /// Entries evicted by the age bound (see
-    /// [`CacheStats::evicted_age`]).
-    evicted_age: AtomicU64,
     /// Thundering-herd guard: fingerprints currently being solved. A
     /// lookup that finds its key here waits for the leader to finish and
     /// then re-reads the cache, instead of solving the identical problem
@@ -250,15 +250,9 @@ struct Persistence {
     /// [`crate::CacheLifecycle::compact_every`] the appending thread
     /// compacts in place, starting a new generation.
     appends: AtomicU64,
-    /// Completed compaction generations (see
-    /// [`CacheStats::compactions`]).
-    generation: AtomicU64,
     /// Single-flight latch so concurrent append thresholds trigger one
     /// compaction, not a pile-up behind the store locks.
     compacting: std::sync::atomic::AtomicBool,
-    /// Failed store appends/fsyncs since startup (monotone; see
-    /// [`CacheStats::append_errors`]).
-    append_errors: AtomicU64,
     /// Consecutive append failures — reset by any success; crossing
     /// [`crate::DurabilityPolicy::max_append_failures`] trips
     /// `degraded`.
@@ -267,11 +261,15 @@ struct Persistence {
     /// entirely (no appends, no compaction) and serves from memory only
     /// until restart.
     degraded: std::sync::atomic::AtomicBool,
-    /// fsyncs issued by the append cadence (see [`CacheStats::fsyncs`]).
-    fsyncs: AtomicU64,
     /// Load-time diagnostics: skipped records, ignored files.
     warnings: Vec<String>,
 }
+
+/// The ordering of every operation on [`Engine`]'s `counters`.
+// ordering: each counter is an independent telemetry value — a monotone
+// sum or a high-water mark — that publishes no other data, and a snapshot
+// is advisory: it needs no consistency across counters.
+const TELEMETRY: Ordering = Ordering::Relaxed;
 
 /// Locks an engine-internal mutex, recovering from poison. Every
 /// structure behind these mutexes is mutated by single inserts/clears
@@ -297,22 +295,8 @@ impl Engine {
             config,
             cache: Mutex::new(HashMap::new()),
             bounds: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            persistent_hits: AtomicU64::new(0),
-            bound_starts: AtomicU64::new(0),
-            gc_runs: AtomicU64::new(0),
-            lits_reclaimed: AtomicU64::new(0),
-            arena_wasted: AtomicU64::new(0),
-            shared_exported: AtomicU64::new(0),
-            shared_imported: AtomicU64::new(0),
-            shared_dropped: AtomicU64::new(0),
-            sat_wins: AtomicU64::new(0),
-            morph_wins: AtomicU64::new(0),
-            bound_exchanges: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             tick: AtomicU64::new(0),
-            evicted_size: AtomicU64::new(0),
-            evicted_age: AtomicU64::new(0),
             inflight: Mutex::new(HashSet::new()),
             inflight_cv: Condvar::new(),
             persist: None,
@@ -353,12 +337,9 @@ impl Engine {
             loaded: Mutex::new(loaded),
             dirty: std::sync::atomic::AtomicBool::new(false),
             appends: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
             compacting: std::sync::atomic::AtomicBool::new(false),
-            append_errors: AtomicU64::new(0),
             failure_streak: AtomicU64::new(0),
             degraded: std::sync::atomic::AtomicBool::new(false),
-            fsyncs: AtomicU64::new(0),
             warnings,
         };
         // Loaded entries all share one birth instant and tick 0: the age
@@ -378,30 +359,11 @@ impl Engine {
                 )
             })
             .collect();
-        Ok(Engine {
-            config,
-            cache: Mutex::new(cache),
-            bounds: Mutex::new(bounds),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            persistent_hits: AtomicU64::new(0),
-            bound_starts: AtomicU64::new(0),
-            gc_runs: AtomicU64::new(0),
-            lits_reclaimed: AtomicU64::new(0),
-            arena_wasted: AtomicU64::new(0),
-            shared_exported: AtomicU64::new(0),
-            shared_imported: AtomicU64::new(0),
-            shared_dropped: AtomicU64::new(0),
-            sat_wins: AtomicU64::new(0),
-            morph_wins: AtomicU64::new(0),
-            bound_exchanges: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-            evicted_size: AtomicU64::new(0),
-            evicted_age: AtomicU64::new(0),
-            inflight: Mutex::new(HashSet::new()),
-            inflight_cv: Condvar::new(),
-            persist: Some(persistence),
-        })
+        let mut engine = Engine::new(config);
+        engine.cache = Mutex::new(cache);
+        engine.bounds = Mutex::new(bounds);
+        engine.persist = Some(persistence);
+        Ok(engine)
     }
 
     /// The engine's configuration.
@@ -420,43 +382,50 @@ impl Engine {
         self.persist.as_ref().map_or(&[], |p| &p.warnings)
     }
 
-    /// Cache occupancy and hit/miss counters.
+    /// Cache occupancy and traffic counters. Besides the events the engine
+    /// counts itself, every solve feeds the counters whose names the
+    /// solve's own statistics declare: [`RaceStats`] counters come from
+    /// the race (which sums over cancelled siblings too), the remaining
+    /// [`satmapit_sat::SolverStats`] counters from the attempts the
+    /// outcome lists — sums added up, peaks kept.
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            // ordering: every atomic load below reads an independent,
-            // monotone telemetry counter; the snapshot is advisory and
-            // needs no cross-counter consistency.
+        let mut stats = CacheStats {
             entries: lock(&self.cache).len(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
             bound_entries: lock(&self.bounds).len(),
             persistent_entries: self.persist.as_ref().map_or(0, |p| lock(&p.loaded).len()),
-            persistent_hits: self.persistent_hits.load(Ordering::Relaxed),
-            bound_starts: self.bound_starts.load(Ordering::Relaxed),
-            gc_runs: self.gc_runs.load(Ordering::Relaxed),
-            lits_reclaimed: self.lits_reclaimed.load(Ordering::Relaxed),
-            arena_wasted: self.arena_wasted.load(Ordering::Relaxed),
-            shared_exported: self.shared_exported.load(Ordering::Relaxed),
-            shared_imported: self.shared_imported.load(Ordering::Relaxed),
-            shared_dropped: self.shared_dropped.load(Ordering::Relaxed),
-            sat_wins: self.sat_wins.load(Ordering::Relaxed),
-            morph_wins: self.morph_wins.load(Ordering::Relaxed),
-            bound_exchanges: self.bound_exchanges.load(Ordering::Relaxed),
-            evicted_size: self.evicted_size.load(Ordering::Relaxed),
-            evicted_age: self.evicted_age.load(Ordering::Relaxed),
-            compactions: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.generation.load(Ordering::Relaxed)),
-            append_errors: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.append_errors.load(Ordering::Relaxed)),
-            fsyncs: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.fsyncs.load(Ordering::Relaxed)),
             degraded: self.degraded(),
+            ..CacheStats::default()
+        };
+        for (slot, counter) in stats.slots().zip(&self.counters) {
+            *slot = counter.load(TELEMETRY);
+        }
+        stats
+    }
+
+    /// Counts one event of the counter at `slot` (see [`slot`]).
+    fn bump(&self, slot: usize) {
+        self.counters[slot].fetch_add(1, TELEMETRY);
+    }
+
+    /// Folds the effort of one solve into the engine-wide counters.
+    fn absorb(&self, outcome: &EngineOutcome) {
+        let mut effort = CacheStats::default();
+        effort.absorb(outcome.stats.fields());
+        // What the race sums itself is taken from the race, not from the
+        // attempt trace: cancelled siblings (whose attempts never reach
+        // the trace) are where most clause exports happen.
+        let race_counts = |name| index_of(RaceStats::TABLE, name).is_some();
+        for attempt in &outcome.outcome.attempts {
+            if let Some(stats) = &attempt.solver_stats {
+                effort.absorb(stats.fields().filter(|&(name, _, _)| !race_counts(name)));
+            }
+        }
+        for (counter, (_, kind, value)) in self.counters.iter().zip(effort.fields()) {
+            match kind {
+                CounterKind::Sum => counter.fetch_add(value, TELEMETRY),
+                CounterKind::Peak => counter.fetch_max(value, TELEMETRY),
+                CounterKind::Gauge => counter.swap(value, TELEMETRY),
+            };
         }
     }
 
@@ -552,10 +521,10 @@ impl Engine {
         }
         // ordering: same advisory dirty flag as in clear_cache.
         persist.dirty.store(false, Ordering::Relaxed);
-        // ordering: both are advisory counters — appends restarts the
-        // incremental-compaction countdown, generation feeds telemetry.
+        // ordering: advisory counter — restarts the incremental-compaction
+        // countdown.
         persist.appends.store(0, Ordering::Relaxed);
-        persist.generation.fetch_add(1, Ordering::Relaxed); // ordering: see above
+        self.bump(const { slot("compactions") });
         Ok(())
     }
 
@@ -597,15 +566,13 @@ impl Engine {
             span.arg("hit", 0);
             return None;
         };
-        // ordering: monotone telemetry counter; Relaxed suffices.
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.bump(const { slot("hits") });
         let persistent = self
             .persist
             .as_ref()
             .is_some_and(|p| lock(&p.loaded).contains(&key));
         if persistent {
-            // ordering: monotone telemetry counter; Relaxed suffices.
-            self.persistent_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(const { slot("persistent_hits") });
         }
         span.arg("hit", 1);
         span.arg("persistent", i64::from(persistent));
@@ -659,15 +626,13 @@ impl Engine {
                 })
             };
             if let Some(hit) = hit {
-                // ordering: monotone telemetry counter; Relaxed suffices.
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.bump(const { slot("hits") });
                 let persistent = self
                     .persist
                     .as_ref()
                     .is_some_and(|p| lock(&p.loaded).contains(&key));
                 if persistent {
-                    // ordering: monotone telemetry counter.
-                    self.persistent_hits.fetch_add(1, Ordering::Relaxed);
+                    self.bump(const { slot("persistent_hits") });
                 }
                 if obs::trace::enabled() {
                     obs::trace::complete(
@@ -757,13 +722,11 @@ impl Engine {
         let problem_key = problem_fingerprint(dfg, cgra, &config.mapper);
         let known_bound = lock(&self.bounds).get(&problem_key).copied();
         if known_bound.is_some() {
-            // ordering: monotone telemetry counter; Relaxed suffices.
-            self.bound_starts.fetch_add(1, Ordering::Relaxed);
+            self.bump(const { slot("bound_starts") });
         }
         let outcome = Arc::new(map_raced_with_bound(dfg, cgra, &config, known_bound));
-        // ordering: monotone telemetry counter; Relaxed suffices.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.record_solver_telemetry(&outcome);
+        self.bump(const { slot("misses") });
+        self.absorb(&outcome);
         self.record_bound(problem_key, known_bound, &outcome);
         // Wall-clock-dependent failures are not memoized: a timed-out job
         // resubmitted later (idler machine, luckier race) deserves a fresh
@@ -824,66 +787,6 @@ impl Engine {
             key,
             cached: false,
             persistent: false,
-        }
-    }
-
-    /// Folds each attempt's clause-arena counters into the engine-wide
-    /// telemetry surfaced by [`Engine::cache_stats`]: GC runs and
-    /// reclaimed literals are summed, arena waste keeps its peak.
-    fn record_solver_telemetry(&self, outcome: &EngineOutcome) {
-        let mut gc_runs = 0u64;
-        let mut lits = 0u64;
-        let mut wasted_peak = 0u64;
-        for attempt in &outcome.outcome.attempts {
-            if let Some(stats) = &attempt.solver_stats {
-                gc_runs += stats.gc_runs;
-                lits += stats.lits_reclaimed;
-                wasted_peak = wasted_peak.max(stats.arena_wasted);
-            }
-        }
-        // ordering: all telemetry folds below are independent monotone
-        // counters (fetch_max for the peak); nothing synchronizes
-        // through them, so Relaxed is exactly right.
-        if gc_runs > 0 {
-            self.gc_runs.fetch_add(gc_runs, Ordering::Relaxed); // ordering: see above
-        }
-        if lits > 0 {
-            self.lits_reclaimed.fetch_add(lits, Ordering::Relaxed); // ordering: see above
-        }
-        self.arena_wasted.fetch_max(wasted_peak, Ordering::Relaxed); // ordering: see above
-
-        // Share traffic comes from the race-level sums, not the attempt
-        // trace: cancelled siblings (whose attempts never reach the
-        // trace) are where most exports happen.
-        let race = &outcome.stats;
-        if race.shared_exported > 0 {
-            // ordering: monotone telemetry counter.
-            self.shared_exported
-                .fetch_add(race.shared_exported, Ordering::Relaxed);
-        }
-        if race.shared_imported > 0 {
-            // ordering: monotone telemetry counter.
-            self.shared_imported
-                .fetch_add(race.shared_imported, Ordering::Relaxed);
-        }
-        if race.shared_dropped > 0 {
-            // ordering: monotone telemetry counter.
-            self.shared_dropped
-                .fetch_add(race.shared_dropped, Ordering::Relaxed);
-        }
-        if race.sat_wins > 0 {
-            // ordering: monotone telemetry counter.
-            self.sat_wins.fetch_add(race.sat_wins, Ordering::Relaxed);
-        }
-        if race.morph_wins > 0 {
-            // ordering: monotone telemetry counter.
-            self.morph_wins
-                .fetch_add(race.morph_wins, Ordering::Relaxed);
-        }
-        if race.bound_exchanges > 0 {
-            // ordering: monotone telemetry counter.
-            self.bound_exchanges
-                .fetch_add(race.bound_exchanges, Ordering::Relaxed);
         }
     }
 
@@ -967,8 +870,7 @@ impl Engine {
             for key in expired {
                 cache.remove(&key);
                 self.drop_loaded(key);
-                // ordering: monotone telemetry counter.
-                self.evicted_age.fetch_add(1, Ordering::Relaxed);
+                self.bump(const { slot("evicted_age") });
             }
         }
         if lifecycle.max_entries == 0 {
@@ -982,8 +884,7 @@ impl Engine {
             let Some(victim) = victim else { break };
             cache.remove(&victim);
             self.drop_loaded(victim);
-            // ordering: monotone telemetry counter.
-            self.evicted_size.fetch_add(1, Ordering::Relaxed);
+            self.bump(const { slot("evicted_size") });
         }
     }
 
@@ -1023,8 +924,7 @@ impl Engine {
             appender.append(record).and_then(|()| {
                 if fsync_every > 0 && appender.unsynced() >= fsync_every {
                     appender.sync()?;
-                    // ordering: monotone telemetry counter.
-                    persist.fsyncs.fetch_add(1, Ordering::Relaxed);
+                    self.bump(const { slot("fsyncs") });
                 }
                 Ok(())
             })
@@ -1040,8 +940,7 @@ impl Engine {
                 true
             }
             Err(e) => {
-                // ordering: monotone telemetry counter.
-                persist.append_errors.fetch_add(1, Ordering::Relaxed);
+                self.bump(const { slot("append_errors") });
                 // ordering: advisory failure bookkeeping (see above).
                 let streak = persist.failure_streak.fetch_add(1, Ordering::Relaxed) + 1;
                 obs::warn!(

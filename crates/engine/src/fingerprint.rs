@@ -136,10 +136,9 @@ pub fn hash_config(h: &mut Hasher, config: &EngineConfig) {
     h.write(&[1, 1]);
     h.write_u64(m.solver.restart_base);
     h.write_opt_u64(m.solver.phase_seed);
-    // Arena GC preserves the formula but compacts watch lists, which can
-    // reorder propagation and therefore the model found — an execution
-    // knob like the phase seed, so it moves the result key.
-    h.write(&[u8::from(m.solver.gc)]);
+    // The retired arena-GC ablation switch (always on now) was hashed
+    // here as one byte; its constant stays, like the two above.
+    h.write(&[1]);
     h.write_u64(config.race_width as u64);
     h.write_u64(config.portfolio as u64);
     // Learnt-clause sharing changes which (equally valid) model a

@@ -46,6 +46,9 @@ pub mod race;
 pub use batch::{BatchItem, CacheStats, Engine, Job, Served};
 pub use fingerprint::{problem_fingerprint, Fingerprint};
 pub use race::{map_raced, map_raced_with_bound, portfolio_variant, EngineOutcome, RaceStats};
+/// The counter-table machinery behind [`RaceStats`] and [`CacheStats`],
+/// for callers that list or fold the counters (wire, CLI, tests).
+pub use satmapit_sat::{CounterKind, Counters};
 
 use satmapit_core::MapperConfig;
 

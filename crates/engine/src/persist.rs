@@ -27,6 +27,17 @@
 //! corruption can cost cache entries but can never poison results or
 //! panic the daemon.
 //!
+//! ## Stats blocks
+//!
+//! The effort counters inside a result record ([`satmapit_sat::SolverStats`]
+//! per attempt, [`RaceStats`] per outcome) are *counted blocks*: `count
+//! u8`, then `count` × `u64` in the order of the struct's counter table
+//! ([`mod@satmapit_sat::counters`]). A reader that declares `N` counters takes
+//! the first `min(count, N)`, leaves the rest at zero and skips any
+//! surplus, and the tables are append-only — so a counter can be added
+//! without changing how one byte already on disk is read, and without a
+//! [`FORMAT_VERSION`] bump.
+//!
 //! The record payload codec ([`encode_result_record`] /
 //! [`decode_result_record`], [`encode_bound_record`] /
 //! [`decode_bound_record`]) is exposed for tests and tooling; round-trip
@@ -38,6 +49,7 @@ use satmapit_core::encoder::EncodeStats;
 use satmapit_core::{
     AttemptOutcome, IiAttempt, MapFailure, MapOutcome, MappedLoop, Mapping, Placement, TransferKind,
 };
+use satmapit_sat::Counters;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -58,22 +70,24 @@ pub const MAGIC: [u8; 8] = *b"SMCACHE\0";
 /// warning) rather than misread.
 ///
 /// v2 extended the persisted [`satmapit_sat::SolverStats`] with the
-/// clause-arena GC counters (`gc_runs`, `lits_reclaimed`, `arena_wasted`,
-/// `arena_words`); v3 added the portfolio clause-sharing counters
-/// (`shared_exported`/`shared_imported`/`shared_dropped`, in both
-/// [`satmapit_sat::SolverStats`] and [`RaceStats`]). Older stores are
-/// simply re-solved. v4 is the durability overhaul (appender rollback
-/// latch, fsync policy, synced compaction, checksum-verified loader
-/// resync); the record codec is byte-identical to v3, so v3 stores stay
-/// readable. v5 added the cross-backend race counters to [`RaceStats`]
-/// (`sat_wins`/`morph_wins`/`bound_exchanges`); the codec changed, so
-/// older stores are re-solved.
-pub const FORMAT_VERSION: u32 = 5;
+/// clause-arena GC counters; v3 added the portfolio clause-sharing
+/// counters to it and to [`RaceStats`]. Older stores are simply
+/// re-solved. v4 is the durability overhaul (appender rollback latch,
+/// fsync policy, synced compaction, checksum-verified loader resync);
+/// the record codec is byte-identical to v3, so v3 stores stay readable.
+/// v5 added the cross-backend race counters to [`RaceStats`]; the codec
+/// changed, so older stores are re-solved. v6 made the stats blocks
+/// counted (see the module docs) — the last bump a counter will ever
+/// cause; v5 stores are re-solved.
+pub const FORMAT_VERSION: u32 = 6;
 /// Prior format versions whose record codec is identical to the current
 /// one; loaders accept them and appenders extend them in place. Empty
-/// since v5 changed the [`RaceStats`] codec.
+/// since v6 changed the stats-block codec.
 pub const COMPATIBLE_VERSIONS: &[u32] = &[];
 const HEADER_LEN: usize = 16;
+/// Upper bound on the counter count a stats block may claim. Far above
+/// any table in the tree, far below what a flipped bit could promise.
+const MAX_COUNTERS: usize = 64;
 /// Upper bound on a single record's payload; anything larger is treated
 /// as framing corruption (a flipped bit in a length field must not make
 /// the loader attempt a gigabyte allocation).
@@ -337,40 +351,31 @@ fn read_encode_stats(r: &mut ByteReader<'_>) -> Result<EncodeStats, PersistError
     })
 }
 
-fn write_solver_stats(w: &mut ByteWriter, s: &satmapit_sat::SolverStats) {
-    w.u64(s.decisions);
-    w.u64(s.propagations);
-    w.u64(s.conflicts);
-    w.u64(s.restarts);
-    w.u64(s.learnt_clauses);
-    w.u64(s.removed_clauses);
-    w.u64(s.added_clauses);
-    w.u64(s.gc_runs);
-    w.u64(s.lits_reclaimed);
-    w.u64(s.arena_wasted);
-    w.u64(s.arena_words);
-    w.u64(s.shared_exported);
-    w.u64(s.shared_imported);
-    w.u64(s.shared_dropped);
+/// Writes the counters of `stats` as a counted block (see the module
+/// docs).
+fn write_counters<C: Counters>(w: &mut ByteWriter, stats: &C) {
+    const { assert!(C::TABLE.len() <= MAX_COUNTERS) };
+    w.u8(C::TABLE.len() as u8);
+    for value in stats.values() {
+        w.u64(value);
+    }
 }
 
-fn read_solver_stats(r: &mut ByteReader<'_>) -> Result<satmapit_sat::SolverStats, PersistError> {
-    Ok(satmapit_sat::SolverStats {
-        decisions: r.u64()?,
-        propagations: r.u64()?,
-        conflicts: r.u64()?,
-        restarts: r.u64()?,
-        learnt_clauses: r.u64()?,
-        removed_clauses: r.u64()?,
-        added_clauses: r.u64()?,
-        gc_runs: r.u64()?,
-        lits_reclaimed: r.u64()?,
-        arena_wasted: r.u64()?,
-        arena_words: r.u64()?,
-        shared_exported: r.u64()?,
-        shared_imported: r.u64()?,
-        shared_dropped: r.u64()?,
-    })
+/// Reads a counted block straight into the counters of `stats`: slots
+/// the block does not reach keep their value, surplus values are skipped.
+fn read_counters<C: Counters>(r: &mut ByteReader<'_>, stats: &mut C) -> Result<(), PersistError> {
+    let count = usize::from(r.u8()?);
+    if count > MAX_COUNTERS {
+        return Err(PersistError::BadValue("counter count"));
+    }
+    let mut slots = stats.slots();
+    for _ in 0..count {
+        let value = r.u64()?;
+        if let Some(slot) = slots.next() {
+            *slot = value;
+        }
+    }
+    Ok(())
 }
 
 fn write_stop_reason(w: &mut ByteWriter, reason: satmapit_sat::StopReason) {
@@ -464,7 +469,7 @@ fn write_attempt(w: &mut ByteWriter, a: &IiAttempt) {
         None => w.u8(0),
         Some(s) => {
             w.u8(1);
-            write_solver_stats(w, s);
+            write_counters(w, s);
         }
     }
     w.u32(a.ra_cuts);
@@ -478,7 +483,11 @@ fn read_attempt(r: &mut ByteReader<'_>) -> Result<IiAttempt, PersistError> {
         outcome: read_attempt_outcome(r)?,
         solver_stats: match r.u8()? {
             0 => None,
-            1 => Some(read_solver_stats(r)?),
+            1 => {
+                let mut stats = satmapit_sat::SolverStats::default();
+                read_counters(r, &mut stats)?;
+                Some(stats)
+            }
             tag => {
                 return Err(PersistError::BadTag {
                     what: "Option<SolverStats>",
@@ -713,15 +722,8 @@ pub fn write_outcome(w: &mut ByteWriter, outcome: &EngineOutcome) {
     }
     w.duration(outcome.outcome.elapsed);
     w.usize(outcome.stats.workers);
-    w.u64(outcome.stats.tasks_started);
-    w.u64(outcome.stats.tasks_cancelled);
     w.u32(outcome.stats.race_start);
-    w.u64(outcome.stats.shared_exported);
-    w.u64(outcome.stats.shared_imported);
-    w.u64(outcome.stats.shared_dropped);
-    w.u64(outcome.stats.sat_wins);
-    w.u64(outcome.stats.morph_wins);
-    w.u64(outcome.stats.bound_exchanges);
+    write_counters(w, &outcome.stats);
     w.bool(outcome.proven_unmappable);
 }
 
@@ -743,18 +745,12 @@ pub fn read_outcome(r: &mut ByteReader<'_>) -> Result<EngineOutcome, PersistErro
         attempts.push(read_attempt(r)?);
     }
     let elapsed = r.duration()?;
-    let stats = RaceStats {
+    let mut stats = RaceStats {
         workers: r.usize()?,
-        tasks_started: r.u64()?,
-        tasks_cancelled: r.u64()?,
         race_start: r.u32()?,
-        shared_exported: r.u64()?,
-        shared_imported: r.u64()?,
-        shared_dropped: r.u64()?,
-        sat_wins: r.u64()?,
-        morph_wins: r.u64()?,
-        bound_exchanges: r.u64()?,
+        ..RaceStats::default()
     };
+    read_counters(r, &mut stats)?;
     let proven_unmappable = r.bool()?;
     Ok(EngineOutcome {
         outcome: MapOutcome {

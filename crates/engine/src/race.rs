@@ -67,7 +67,7 @@ use satmapit_dfg::Dfg;
 use satmapit_morph::MorphMapper;
 use satmapit_obs as obs;
 use satmapit_sat::encode::AmoEncoding;
-use satmapit_sat::{ShareHandle, SharePool, SolveLimits};
+use satmapit_sat::{Counters, ShareHandle, SharePool, SolveLimits};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,43 +76,49 @@ use std::time::{Duration, Instant};
 
 use crate::{BackendKind, EngineConfig, ShareConfig};
 
-/// Effort and outcome counters of one race.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RaceStats {
-    /// Worker threads the race ran on.
-    pub workers: usize,
-    /// Single-II attempts dispatched (including cancelled ones).
-    pub tasks_started: u64,
-    /// Attempts that observed the stop flag and aborted cooperatively.
-    pub tasks_cancelled: u64,
-    /// The first candidate II the race considered (the prepared start,
-    /// lifted by any known proven bound). 0 when the race never started
-    /// (preparation failed or the window was empty). The batch engine uses
-    /// this as the anchor when it turns `Unsat` closures into a proven II
-    /// lower bound.
-    pub race_start: u32,
-    /// Learnt clauses portfolio siblings exported to their per-II share
-    /// pools, summed over *every* attempt of the race — cancelled
-    /// siblings included, since their exports are exactly what the
-    /// winners imported. 0 with sharing off.
-    pub shared_exported: u64,
-    /// Sibling clauses imported at restart boundaries, summed likewise.
-    pub shared_imported: u64,
-    /// Share-pool ring evictions (clauses overwritten before every
-    /// sibling read them); a persistently high value means
-    /// `share_ring_cap` is too small for the conflict rate.
-    pub shared_dropped: u64,
-    /// 1 when a SAT lane produced the winning mapping of this race, else
-    /// 0. Summed by the batch engine into a fleet-level counter.
-    pub sat_wins: u64,
-    /// 1 when the morph lane produced the winning mapping, else 0.
-    pub morph_wins: u64,
-    /// II closures whose `Unsat` proof crossed backends: in a
-    /// [`crate::BackendKind::Race`], one backend proved the II
-    /// infeasible and the other backend was thereby spared ever
-    /// establishing it (see the module docs). Always 0 in
-    /// single-backend races.
-    pub bound_exchanges: u64,
+satmapit_sat::counters! {
+    /// Effort and outcome counters of one race. The `u64` counters are a
+    /// table (see [`mod@satmapit_sat::counters`]): the engine's fleet totals
+    /// and the persisted record follow from the declaration.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct RaceStats {
+        /// Worker threads the race ran on.
+        pub workers: usize,
+        /// The first candidate II the race considered (the prepared
+        /// start, lifted by any known proven bound). 0 when the race never
+        /// started (preparation failed or the window was empty). The batch
+        /// engine uses this as the anchor when it turns `Unsat` closures
+        /// into a proven II lower bound.
+        pub race_start: u32,
+    }
+    counters {
+        /// Single-II attempts dispatched (including cancelled ones).
+        tasks_started: sum,
+        /// Attempts that observed the stop flag and aborted cooperatively.
+        tasks_cancelled: sum,
+        /// Learnt clauses portfolio siblings exported to their per-II
+        /// share pools, summed over *every* attempt of the race —
+        /// cancelled siblings included, since their exports are exactly
+        /// what the winners imported. 0 with sharing off.
+        shared_exported: sum,
+        /// Sibling clauses imported at restart boundaries, summed likewise.
+        shared_imported: sum,
+        /// Share-pool ring evictions (clauses overwritten before every
+        /// sibling read them); a persistently high value means
+        /// `share_ring_cap` is too small for the conflict rate.
+        shared_dropped: sum,
+        /// 1 when a SAT lane produced the winning mapping of this race,
+        /// else 0. Summed by the batch engine into a fleet-level counter.
+        sat_wins: sum,
+        /// 1 when the morph lane produced the winning mapping, else 0.
+        morph_wins: sum,
+        /// II closures whose `Unsat` proof crossed backends: in a
+        /// [`crate::BackendKind::Race`], one backend proved the II
+        /// infeasible and the other backend was thereby spared ever
+        /// establishing it (see the module docs). Always 0 in
+        /// single-backend races.
+        bound_exchanges: sum,
+    }
 }
 
 /// A [`MapOutcome`] plus race-level telemetry.
@@ -228,12 +234,9 @@ struct RaceState {
     closed: BTreeMap<u32, IiAttempt>,
     best: Option<Best>,
     fatal: Option<MapFailure>,
-    tasks_started: u64,
-    tasks_cancelled: u64,
-    shared_exported: u64,
-    shared_imported: u64,
-    shared_dropped: u64,
-    bound_exchanges: u64,
+    /// The race's counters so far; `workers`, `race_start` and the win
+    /// attribution are filled in once the race is over.
+    stats: RaceStats,
 }
 
 impl RaceState {
@@ -277,7 +280,7 @@ impl RaceState {
                             cfg.share_len_max,
                         )
                     });
-                    self.tasks_started += 1;
+                    self.stats.tasks_started += 1;
                     return Some(Task {
                         ii,
                         lane,
@@ -318,15 +321,14 @@ impl RaceState {
     }
 
     fn record(&mut self, task: &Task, result: Result<AttemptReport, MapFailure>) {
-        // Share telemetry is summed over every report that ran a solver —
-        // cancelled siblings included: their exports are precisely what
-        // the surviving siblings imported, and dropping them would make
-        // `shared_exported` read near zero on a healthy race.
+        // The solver counters the race also declares (the share traffic)
+        // are summed over every report that ran a solver — cancelled
+        // siblings included: their exports are precisely what the
+        // surviving siblings imported, and dropping them would make the
+        // export count read near zero on a healthy race.
         if let Ok(report) = &result {
             if let Some(stats) = &report.attempt.solver_stats {
-                self.shared_exported += stats.shared_exported;
-                self.shared_imported += stats.shared_imported;
-                self.shared_dropped += stats.shared_dropped;
+                self.stats.absorb(stats.fields());
             }
         }
         match result {
@@ -356,7 +358,7 @@ impl RaceState {
             Ok(report) if !report.is_definitive() => {
                 // The attempt was abandoned (cooperative cancel), not
                 // answered; it never closes its II.
-                self.tasks_cancelled += 1;
+                self.stats.tasks_cancelled += 1;
             }
             Ok(report) => match report.attempt.outcome {
                 AttemptOutcome::Mapped => {
@@ -386,7 +388,7 @@ impl RaceState {
                         // spares the *other* backend that rung entirely —
                         // the bound exchange the module docs describe.
                         if is_proof && self.cross_backend {
-                            self.bound_exchanges += 1;
+                            self.stats.bound_exchanges += 1;
                         }
                         self.closed.insert(task.ii, report.attempt);
                         self.cancel_ii(task.ii);
@@ -649,12 +651,7 @@ pub fn map_raced_with_bound(
             closed: BTreeMap::new(),
             best: None,
             fatal: None,
-            tasks_started: 0,
-            tasks_cancelled: 0,
-            shared_exported: 0,
-            shared_imported: 0,
-            shared_dropped: 0,
-            bound_exchanges: 0,
+            stats: RaceStats::default(),
         }),
         cv: Condvar::new(),
     };
@@ -712,15 +709,10 @@ pub fn map_raced_with_bound(
     };
     let stats = RaceStats {
         workers,
-        tasks_started: state.tasks_started,
-        tasks_cancelled: state.tasks_cancelled,
         race_start: start,
-        shared_exported: state.shared_exported,
-        shared_imported: state.shared_imported,
-        shared_dropped: state.shared_dropped,
         sat_wins,
         morph_wins,
-        bound_exchanges: state.bound_exchanges,
+        ..state.stats
     };
 
     let (result, attempts) = if let Some(fatal) = state.fatal {

@@ -3,6 +3,11 @@
 //! failure variant, attempt traces with every outcome kind — survive
 //! encode→decode bit-exactly (compared through their complete `Debug`
 //! rendering, which covers every field).
+//!
+//! Plus the contract of the counter tables the stats blocks are written
+//! from: counted blocks tolerate a reader with fewer or more counters,
+//! the table orders are pinned (append-only), and the engine's fleet
+//! counters are the fold the tables describe.
 
 use proptest::prelude::*;
 use satmapit_cgra::PeId;
@@ -10,10 +15,14 @@ use satmapit_core::encoder::EncodeStats;
 use satmapit_core::{
     AttemptOutcome, IiAttempt, MapFailure, MapOutcome, MappedLoop, Mapping, Placement, TransferKind,
 };
+use satmapit_engine::persist::PersistError;
 use satmapit_engine::persist::{
     decode_bound_record, decode_result_record, encode_bound_record, encode_result_record,
 };
-use satmapit_engine::{EngineOutcome, Fingerprint, RaceStats};
+use satmapit_engine::{
+    CacheStats, CounterKind, Counters, Engine, EngineConfig, EngineOutcome, Fingerprint, Job,
+    RaceStats,
+};
 use satmapit_regalloc::{PeAllocFailure, RegAllocError, RegAllocation};
 use satmapit_sat::{SolverStats, StopReason};
 use std::time::Duration;
@@ -38,6 +47,16 @@ impl Gen {
 
     fn usize(&mut self, bound: usize) -> usize {
         (self.next() % bound.max(1) as u64) as usize
+    }
+
+    /// A stats struct with every counter of its table drawn below `bound`
+    /// (and every other field at its default).
+    fn counters<C: Counters + Default>(&mut self, bound: u64) -> C {
+        let mut stats = C::default();
+        for slot in stats.slots() {
+            *slot = self.next() % bound;
+        }
+        stats
     }
 
     fn duration(&mut self) -> Duration {
@@ -120,22 +139,7 @@ impl Gen {
             solver_stats: if self.next().is_multiple_of(4) {
                 None
             } else {
-                Some(SolverStats {
-                    decisions: self.next(),
-                    propagations: self.next(),
-                    conflicts: self.next(),
-                    restarts: self.next(),
-                    learnt_clauses: self.next(),
-                    removed_clauses: self.next(),
-                    added_clauses: self.next(),
-                    gc_runs: self.next(),
-                    lits_reclaimed: self.next(),
-                    arena_wasted: self.next(),
-                    arena_words: self.next(),
-                    shared_exported: self.next(),
-                    shared_imported: self.next(),
-                    shared_dropped: self.next(),
-                })
+                Some(self.counters(u64::MAX))
             },
             ra_cuts: self.u32(200),
             elapsed: self.duration(),
@@ -206,15 +210,8 @@ impl Gen {
             },
             stats: RaceStats {
                 workers: 1 + self.usize(16),
-                tasks_started: self.next() % 1000,
-                tasks_cancelled: self.next() % 1000,
                 race_start: self.u32(50),
-                shared_exported: self.next() % 100_000,
-                shared_imported: self.next() % 100_000,
-                shared_dropped: self.next() % 1000,
-                sat_wins: self.next() % 2,
-                morph_wins: self.next() % 2,
-                bound_exchanges: self.next() % 10,
+                ..self.counters(100_000)
             },
             proven_unmappable: self.next().is_multiple_of(8),
         }
@@ -259,4 +256,252 @@ proptest! {
         mangled[cut % bytes.len()] ^= 1 << (flip % 8);
         let _ = decode_result_record(&mangled);
     }
+}
+
+/// An outcome whose record ends `… solver block | ra_cuts | elapsed |
+/// elapsed | workers | race_start | race block | proven_unmappable`, so
+/// both stats blocks sit at offsets computable from the tail.
+fn one_attempt_outcome(generator: &mut Gen) -> EngineOutcome {
+    let mut outcome = generator.outcome();
+    let mut attempt = generator.attempt();
+    attempt.solver_stats = Some(generator.counters(u64::MAX));
+    outcome.outcome.attempts = vec![attempt];
+    outcome
+}
+
+const SOLVER_N: usize = SolverStats::TABLE.len();
+const RACE_N: usize = RaceStats::TABLE.len();
+
+/// Offset of the race block's count byte in a record of `len` bytes.
+fn race_block_at(len: usize) -> usize {
+    len - 1 - (1 + 8 * RACE_N)
+}
+
+/// Offset of the last attempt's solver block: before the race block come
+/// `race_start` (4), `workers` (8), two durations (12 each) and `ra_cuts`
+/// (4).
+fn solver_block_at(len: usize) -> usize {
+    race_block_at(len) - (4 + 8 + 12 + 12 + 4) - (1 + 8 * SOLVER_N)
+}
+
+/// Rewrites the counted block at `at` (holding `old` values) as a writer
+/// that knew `new` counters would have: the first `min(old, new)` values
+/// kept, any further ones made up.
+fn with_block_count(bytes: &[u8], at: usize, old: usize, new: usize) -> Vec<u8> {
+    assert_eq!(usize::from(bytes[at]), old, "not the block's count byte");
+    let mut out = bytes[..at].to_vec();
+    out.push(new as u8);
+    out.extend_from_slice(&bytes[at + 1..at + 1 + 8 * old.min(new)]);
+    for extra in old..new {
+        out.extend_from_slice(&(0xABCD_0000 + extra as u64).to_le_bytes());
+    }
+    out.extend_from_slice(&bytes[at + 1 + 8 * old..]);
+    out
+}
+
+/// `stats` as a reader would see it after a writer that knew only the
+/// first `known` counters.
+fn first_counters<C: Counters>(stats: &C, known: usize) -> C {
+    let mut cut = stats.clone();
+    for slot in cut.slots().skip(known) {
+        *slot = 0;
+    }
+    cut
+}
+
+#[test]
+fn a_block_from_an_older_writer_decodes_with_the_new_counters_zero() {
+    let mut generator = Gen(0x5EED);
+    let outcome = one_attempt_outcome(&mut generator);
+    let bytes = encode_result_record(Fingerprint(7), &outcome);
+
+    let older = with_block_count(&bytes, race_block_at(bytes.len()), RACE_N, RACE_N - 2);
+    let (_, decoded) = decode_result_record(&older).expect("a shorter race block decodes");
+    assert_eq!(decoded.stats, first_counters(&outcome.stats, RACE_N - 2));
+    assert_eq!(
+        format!("{:?}", decoded.outcome.attempts),
+        format!("{:?}", outcome.outcome.attempts)
+    );
+
+    let at = solver_block_at(bytes.len());
+    let older = with_block_count(&bytes, at, SOLVER_N, SOLVER_N - 2);
+    let (_, decoded) = decode_result_record(&older).expect("a shorter solver block decodes");
+    let written = outcome.outcome.attempts[0].solver_stats.as_ref().unwrap();
+    assert_eq!(
+        decoded.outcome.attempts[0].solver_stats,
+        Some(first_counters(written, SOLVER_N - 2))
+    );
+    assert_eq!(decoded.stats, outcome.stats);
+}
+
+#[test]
+fn a_block_from_a_newer_writer_decodes_with_the_surplus_skipped() {
+    let mut generator = Gen(0xFEED);
+    let outcome = one_attempt_outcome(&mut generator);
+    let bytes = encode_result_record(Fingerprint(7), &outcome);
+    for (at, known) in [
+        (race_block_at(bytes.len()), RACE_N),
+        (solver_block_at(bytes.len()), SOLVER_N),
+    ] {
+        let newer = with_block_count(&bytes, at, known, known + 3);
+        let (_, decoded) = decode_result_record(&newer).expect("a longer block decodes");
+        assert_eq!(format!("{decoded:?}"), format!("{outcome:?}"));
+        // The surplus is skipped, not swallowed: the record still has to
+        // parse exactly.
+        let mut trailing = newer.clone();
+        trailing.push(0);
+        assert_eq!(
+            decode_result_record(&trailing).unwrap_err(),
+            PersistError::BadValue("trailing bytes")
+        );
+        assert_eq!(
+            decode_result_record(&newer[..newer.len() - 1]).unwrap_err(),
+            PersistError::Truncated
+        );
+    }
+}
+
+#[test]
+fn a_block_count_above_the_cap_is_rejected() {
+    let mut generator = Gen(0xCA9);
+    let outcome = one_attempt_outcome(&mut generator);
+    let bytes = encode_result_record(Fingerprint(7), &outcome);
+    for (at, known) in [
+        (race_block_at(bytes.len()), RACE_N),
+        (solver_block_at(bytes.len()), SOLVER_N),
+    ] {
+        // Enough bytes follow for the claim to be readable: the count
+        // itself is what is refused.
+        for claim in [65, 255] {
+            let absurd = with_block_count(&bytes, at, known, claim);
+            assert_eq!(
+                decode_result_record(&absurd).unwrap_err(),
+                PersistError::BadValue("counter count")
+            );
+        }
+        assert!(decode_result_record(&with_block_count(&bytes, at, known, 64)).is_ok());
+    }
+}
+
+fn names<C: Counters>() -> Vec<&'static str> {
+    C::TABLE.iter().map(|&(name, _)| name).collect()
+}
+
+/// The tables are append-only: persisted blocks are positional, so a new
+/// counter goes at the end of its list and nothing here is ever removed,
+/// renamed or reordered.
+#[test]
+fn counter_tables_keep_their_order() {
+    assert_eq!(
+        names::<SolverStats>(),
+        [
+            "decisions",
+            "propagations",
+            "conflicts",
+            "restarts",
+            "learnt_clauses",
+            "removed_clauses",
+            "added_clauses",
+            "gc_runs",
+            "lits_reclaimed",
+            "arena_wasted",
+            "arena_words",
+            "shared_exported",
+            "shared_imported",
+            "shared_dropped",
+        ]
+    );
+    let gauges: Vec<&str> = SolverStats::TABLE
+        .iter()
+        .filter(|(_, kind)| *kind != CounterKind::Sum)
+        .map(|&(name, _)| name)
+        .collect();
+    assert_eq!(gauges, ["learnt_clauses", "arena_wasted", "arena_words"]);
+    assert_eq!(
+        names::<RaceStats>(),
+        [
+            "tasks_started",
+            "tasks_cancelled",
+            "shared_exported",
+            "shared_imported",
+            "shared_dropped",
+            "sat_wins",
+            "morph_wins",
+            "bound_exchanges",
+        ]
+    );
+    assert_eq!(
+        names::<CacheStats>(),
+        [
+            "hits",
+            "misses",
+            "persistent_hits",
+            "bound_starts",
+            "gc_runs",
+            "lits_reclaimed",
+            "arena_wasted",
+            "shared_exported",
+            "shared_imported",
+            "shared_dropped",
+            "sat_wins",
+            "morph_wins",
+            "bound_exchanges",
+            "evicted_size",
+            "evicted_age",
+            "compactions",
+            "append_errors",
+            "fsyncs",
+        ]
+    );
+}
+
+/// After a batch, every fleet counter a solve feeds reads what its table
+/// entry says: the race's figure where the race declares the name, else
+/// the attempts' solver figures — sums added, peaks kept.
+#[test]
+fn cache_stats_are_the_fold_of_the_outcomes() {
+    let engine = Engine::new(EngineConfig::default());
+    let jobs: Vec<Job> = ["sha", "gsm", "srand", "bitcount"]
+        .iter()
+        .map(|name| {
+            let kernel = satmapit_kernels::by_name(name).expect("suite kernel");
+            Job::new(*name, kernel.dfg, satmapit_cgra::Cgra::square(2))
+        })
+        .collect();
+    let solved = engine.map_batch(jobs.clone());
+    assert!(solved.iter().all(|item| !item.cached));
+    assert!(engine.map_batch(jobs).iter().all(|item| item.cached));
+
+    fn lookup(stats: &impl Counters, name: &str) -> Option<u64> {
+        stats.fields().find(|f| f.0 == name).map(|f| f.2)
+    }
+    let mut expected = CacheStats {
+        entries: solved.len(),
+        bound_entries: engine.cache_stats().bound_entries,
+        ..CacheStats::default()
+    };
+    for (slot, &(name, kind)) in expected.slots().zip(CacheStats::TABLE) {
+        *slot = match name {
+            "hits" | "misses" => solved.len() as u64,
+            _ => solved
+                .iter()
+                .fold(0, |acc, item| match lookup(&item.outcome.stats, name) {
+                    Some(raced) => kind.fold(acc, raced),
+                    None => item
+                        .outcome
+                        .outcome
+                        .attempts
+                        .iter()
+                        .filter_map(|attempt| attempt.solver_stats.as_ref())
+                        .filter_map(|stats| lookup(stats, name))
+                        .fold(acc, |acc, value| kind.fold(acc, value)),
+                }),
+        };
+    }
+    assert_eq!(engine.cache_stats(), expected);
+    assert_eq!(
+        expected.sat_wins,
+        solved.len() as u64,
+        "every race had a winner"
+    );
 }

@@ -22,6 +22,9 @@
 //! * [`share`] — learnt-clause exchange between portfolio siblings
 //!   (bounded per-race pools, per-sibling cursors, compatibility-class
 //!   and activation-guard filtering),
+//! * [`mod@counters`] — the declare-once table behind [`SolverStats`] (and the
+//!   engine's race and cache statistics): deltas, folds, persistence and
+//!   reporting all walk it,
 //! * [`brute`] — an exhaustive oracle used by the property-test suite.
 //!
 //! ## Example
@@ -49,6 +52,7 @@
 mod arena;
 pub mod brute;
 mod cnf;
+pub mod counters;
 pub mod encode;
 mod heap;
 mod luby;
@@ -57,6 +61,7 @@ mod solver;
 mod types;
 
 pub use cnf::{CnfFormula, ParseDimacsError, ParseDimacsErrorKind};
+pub use counters::{CounterKind, Counters};
 pub use luby::luby;
 pub use share::{formula_class, ShareHandle, SharePool, SharePoolStats};
 pub use solver::{

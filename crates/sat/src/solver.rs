@@ -87,41 +87,47 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// Counters describing solver effort; useful for the paper's runtime tables
-/// and the ablation benchmarks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SolverStats {
-    /// Number of branching decisions.
-    pub decisions: u64,
-    /// Number of literals propagated.
-    pub propagations: u64,
-    /// Number of conflicts analyzed.
-    pub conflicts: u64,
-    /// Number of restarts performed.
-    pub restarts: u64,
-    /// Learnt clauses currently retained.
-    pub learnt_clauses: u64,
-    /// Learnt clauses removed by database reduction.
-    pub removed_clauses: u64,
-    /// Problem clauses added (after top-level simplification).
-    pub added_clauses: u64,
-    /// Clause-arena garbage collections performed (compaction runs).
-    pub gc_runs: u64,
-    /// Literal slots reclaimed by arena garbage collection.
-    pub lits_reclaimed: u64,
-    /// Arena words currently occupied by deleted, unswept clause records —
-    /// a gauge, not a counter (0 right after a collection).
-    pub arena_wasted: u64,
-    /// Total arena words currently allocated (live + wasted) — a gauge.
-    pub arena_words: u64,
-    /// Learnt clauses this solver published to its portfolio share pool
-    /// (0 without a connected [`ShareHandle`]).
-    pub shared_exported: u64,
-    /// Clauses imported from portfolio siblings at restart boundaries.
-    pub shared_imported: u64,
-    /// Ring evictions this solver's exports caused in the share pool
-    /// (clauses overwritten before every sibling could read them).
-    pub shared_dropped: u64,
+crate::counters! {
+    /// Counters describing solver effort; useful for the paper's runtime
+    /// tables and the ablation benchmarks. Declared as a table (see
+    /// [`mod@crate::counters`]): a new counter is appended here and incremented
+    /// where it happens; deltas, folds, persistence and reporting follow
+    /// from the declaration.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct SolverStats {}
+    counters {
+        /// Number of branching decisions.
+        decisions: sum,
+        /// Number of literals propagated.
+        propagations: sum,
+        /// Number of conflicts analyzed.
+        conflicts: sum,
+        /// Number of restarts performed.
+        restarts: sum,
+        /// Learnt clauses currently retained — a gauge.
+        learnt_clauses: gauge,
+        /// Learnt clauses removed by database reduction.
+        removed_clauses: sum,
+        /// Problem clauses added (after top-level simplification).
+        added_clauses: sum,
+        /// Clause-arena garbage collections performed (compaction runs).
+        gc_runs: sum,
+        /// Literal slots reclaimed by arena garbage collection.
+        lits_reclaimed: sum,
+        /// Arena words currently occupied by deleted, unswept clause
+        /// records — a gauge, not a counter (0 right after a collection).
+        arena_wasted: gauge,
+        /// Total arena words currently allocated (live + wasted) — a gauge.
+        arena_words: gauge,
+        /// Learnt clauses this solver published to its portfolio share
+        /// pool (0 without a connected [`ShareHandle`]).
+        shared_exported: sum,
+        /// Clauses imported from portfolio siblings at restart boundaries.
+        shared_imported: sum,
+        /// Ring evictions this solver's exports caused in the share pool
+        /// (clauses overwritten before every sibling could read them).
+        shared_dropped: sum,
+    }
 }
 
 /// Resource budget for a single [`Solver::solve_limited`] call.
@@ -249,13 +255,6 @@ pub struct SolverOptions {
     /// seed instead of defaulting to `false`, steering the first descent
     /// into a different part of the assignment space per seed.
     pub phase_seed: Option<u64>,
-    /// Automatic clause-arena garbage collection (default on). Collection
-    /// preserves the formula exactly, but compacting the watch lists can
-    /// reorder propagation and therefore steer the search to a different
-    /// (equally valid) model — which is why the knob lives here with the
-    /// other answer-preserving diversification knobs. Forced collections
-    /// via [`Solver::collect_garbage`] ignore this flag.
-    pub gc: bool,
 }
 
 impl Default for SolverOptions {
@@ -263,7 +262,6 @@ impl Default for SolverOptions {
         SolverOptions {
             restart_base: DEFAULT_RESTART_BASE,
             phase_seed: None,
-            gc: true,
         }
     }
 }
@@ -310,7 +308,6 @@ pub struct Solver {
     reduce_count: u64,
     restart_base: u64,
     phase_rng: Option<u64>,
-    gc_enabled: bool,
     /// Live clause groups: activation variable index → member clause
     /// refs (see the module docs on the activation-literal lifecycle).
     groups: std::collections::HashMap<u32, Vec<ClauseRef>>,
@@ -375,7 +372,6 @@ impl Solver {
             reduce_count: 0,
             restart_base: DEFAULT_RESTART_BASE,
             phase_rng: None,
-            gc_enabled: true,
             groups: std::collections::HashMap::new(),
             is_activation: Vec::new(),
             any_activation: false,
@@ -391,7 +387,6 @@ impl Solver {
         // Only seed 0 is remapped (the xorshift zero fixed point); all
         // other seeds stay distinct.
         solver.phase_rng = options.phase_seed.map(|s| s.max(1));
-        solver.gc_enabled = options.gc;
         solver
     }
 
@@ -1170,15 +1165,12 @@ impl Solver {
         self.stats.arena_words = self.ca.words();
     }
 
-    /// Runs the mark-compact collector when automatic GC is enabled and
-    /// the wasted fraction crossed the trigger (≥ 1/[`GC_WASTE_DENOMINATOR`]
-    /// of the arena and at least [`GC_MIN_WASTE_WORDS`] words).
+    /// Runs the mark-compact collector once the wasted fraction crossed
+    /// the trigger (≥ 1/[`GC_WASTE_DENOMINATOR`] of the arena and at least
+    /// [`GC_MIN_WASTE_WORDS`] words).
     fn maybe_collect(&mut self) {
         let wasted = self.ca.wasted_words();
-        if self.gc_enabled
-            && wasted >= GC_MIN_WASTE_WORDS
-            && wasted * GC_WASTE_DENOMINATOR >= self.ca.words()
-        {
+        if wasted >= GC_MIN_WASTE_WORDS && wasted * GC_WASTE_DENOMINATOR >= self.ca.words() {
             self.collect_garbage();
         }
     }
@@ -1190,11 +1182,8 @@ impl Solver {
     /// solver invokes it automatically after [`Solver::retire_group`]
     /// sweeps and learnt-DB reductions once the waste trigger is crossed,
     /// regardless of search depth); watchers of deleted clauses — the
-    /// lazy-removal leftovers — are dropped rather than remapped.
-    ///
-    /// Ignores the [`SolverOptions::gc`] switch (that only disables the
-    /// *automatic* trigger), which is what lets tests and benches force
-    /// collections deterministically.
+    /// lazy-removal leftovers — are dropped rather than remapped. Public
+    /// so tests and benches can force collections at chosen points.
     pub fn collect_garbage(&mut self) {
         let sweep = self.ca.collect();
         let remap = &sweep.remap;
@@ -1747,7 +1736,6 @@ mod tests {
             let options = SolverOptions {
                 restart_base: base,
                 phase_seed: seed,
-                ..SolverOptions::default()
             };
             let mut s = Solver::from_cnf_with(&sat_formula, &options);
             assert_eq!(s.solve(), SolveResult::Sat, "base={base} seed={seed:?}");
@@ -1768,7 +1756,6 @@ mod tests {
         let mut seeded = Solver::with_options(&SolverOptions {
             restart_base: 100,
             phase_seed: Some(0x5EED),
-            ..SolverOptions::default()
         });
         for _ in 0..64 {
             let _ = plain.new_var();

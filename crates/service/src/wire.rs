@@ -550,36 +550,27 @@ pub fn error_response(id: Option<i64>, message: &str) -> Json {
     Json::obj(pairs)
 }
 
-/// Encodes the engine's cache counters (shared by `stats` responses and
-/// `satmapit batch --stats`).
+/// Encodes the engine's cache statistics (shared by `stats` responses
+/// and `satmapit batch --stats`): the occupancy figures, every counter of
+/// the [`satmapit_engine::CacheStats`] table under its own name, and the
+/// degraded latch.
 pub fn cache_stats_to_json(stats: &satmapit_engine::CacheStats) -> Json {
-    Json::obj(vec![
+    use satmapit_engine::Counters;
+    let mut pairs = vec![
         ("entries", Json::Int(stats.entries as i64)),
-        ("hits", Json::Int(stats.hits as i64)),
-        ("misses", Json::Int(stats.misses as i64)),
         ("bound_entries", Json::Int(stats.bound_entries as i64)),
         (
             "persistent_entries",
             Json::Int(stats.persistent_entries as i64),
         ),
-        ("persistent_hits", Json::Int(stats.persistent_hits as i64)),
-        ("bound_starts", Json::Int(stats.bound_starts as i64)),
-        ("gc_runs", Json::Int(stats.gc_runs as i64)),
-        ("lits_reclaimed", Json::Int(stats.lits_reclaimed as i64)),
-        ("arena_wasted", Json::Int(stats.arena_wasted as i64)),
-        ("shared_exported", Json::Int(stats.shared_exported as i64)),
-        ("shared_imported", Json::Int(stats.shared_imported as i64)),
-        ("shared_dropped", Json::Int(stats.shared_dropped as i64)),
-        ("sat_wins", Json::Int(stats.sat_wins as i64)),
-        ("morph_wins", Json::Int(stats.morph_wins as i64)),
-        ("bound_exchanges", Json::Int(stats.bound_exchanges as i64)),
-        ("evicted_size", Json::Int(stats.evicted_size as i64)),
-        ("evicted_age", Json::Int(stats.evicted_age as i64)),
-        ("compactions", Json::Int(stats.compactions as i64)),
-        ("append_errors", Json::Int(stats.append_errors as i64)),
-        ("fsyncs", Json::Int(stats.fsyncs as i64)),
-        ("degraded", Json::Bool(stats.degraded)),
-    ])
+    ];
+    pairs.extend(
+        stats
+            .fields()
+            .map(|(name, _, value)| (name, Json::Int(value as i64))),
+    );
+    pairs.push(("degraded", Json::Bool(stats.degraded)));
+    Json::obj(pairs)
 }
 
 #[cfg(test)]
@@ -672,5 +663,51 @@ mod tests {
         let sig = outcome_signature(&a);
         assert_eq!(sig.get("status").and_then(Json::as_str), Some("mapped"));
         assert!(sig.get("mapping").is_some());
+    }
+
+    /// The `stats` object's keys are API: a counter added to the
+    /// `CacheStats` table shows up here on its own, and none may vanish
+    /// or be renamed.
+    #[test]
+    fn cache_stats_keep_their_wire_keys() {
+        let stats = satmapit_engine::CacheStats {
+            hits: 3,
+            degraded: true,
+            ..Default::default()
+        };
+        let Json::Obj(pairs) = cache_stats_to_json(&stats) else {
+            panic!("stats encode as an object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "entries",
+                "bound_entries",
+                "persistent_entries",
+                "hits",
+                "misses",
+                "persistent_hits",
+                "bound_starts",
+                "gc_runs",
+                "lits_reclaimed",
+                "arena_wasted",
+                "shared_exported",
+                "shared_imported",
+                "shared_dropped",
+                "sat_wins",
+                "morph_wins",
+                "bound_exchanges",
+                "evicted_size",
+                "evicted_age",
+                "compactions",
+                "append_errors",
+                "fsyncs",
+                "degraded",
+            ]
+        );
+        let json = Json::Obj(pairs);
+        assert_eq!(json.get("hits").and_then(Json::as_u64), Some(3));
+        assert_eq!(json.get("degraded").and_then(Json::as_bool), Some(true));
     }
 }

@@ -128,20 +128,37 @@ fn concurrent_clients_agree_with_sequential_map_batch() {
         .iter()
         .map(|item| outcome_signature(&item.outcome))
         .collect();
+    clients_agree_with(&expected, 4, 32);
+    // A burst no default queue holds (at capacity 32 most of it is,
+    // correctly, shed): with room for it, every one of 128 simultaneously
+    // open connections is answered and none is lost.
+    clients_agree_with(&expected, 128, 512);
+}
 
-    let (addr, handle) = start_server(None);
+/// `num_clients` connections, all open at once, each submit the whole job
+/// mix to a fresh daemon with the given queue capacity; every reply must
+/// carry the `expected` signature of its job.
+fn clients_agree_with(expected: &[Json], num_clients: usize, queue_capacity: usize) {
+    let (addr, handle) = start_server_with(ServerConfig {
+        workers: 2,
+        queue_capacity,
+        ..ServerConfig::default()
+    });
 
-    // N concurrent clients, each submitting the whole suite on its own
-    // connection, half of them in reverse order to interleave the queue.
-    let num_clients = 4;
+    // Each client submits on its own connection, half of them in reverse
+    // order to interleave the queue; nobody submits before everybody has
+    // connected.
     let all_jobs = jobs();
+    let all_connected = std::sync::Barrier::new(num_clients);
     let results: Vec<Vec<Json>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..num_clients)
             .map(|c| {
                 let addr = addr.clone();
                 let all_jobs = &all_jobs;
+                let all_connected = &all_connected;
                 scope.spawn(move || {
                     let mut client = Client::connect(&addr).expect("client connect");
+                    all_connected.wait();
                     let mut order: Vec<usize> = (0..all_jobs.len()).collect();
                     if c % 2 == 1 {
                         order.reverse();

@@ -8,7 +8,6 @@
 //! satmapit batch [flags]                # the whole suite through the engine
 //! satmapit serve [flags]                # the mapping daemon (JSON over TCP)
 //! satmapit submit [flags]               # submit one job to a daemon
-//! satmapit bench-service [flags]        # load-test a daemon, emit BENCH_service.json
 //! ```
 //!
 //! Run `satmapit <subcommand> --help` for per-subcommand flags. Unknown
@@ -21,7 +20,7 @@ use sat_mapit::core::routing::map_with_routing;
 use sat_mapit::core::{codegen, Mapper, MapperConfig};
 use sat_mapit::dfg::dot::to_dot;
 use sat_mapit::engine::{
-    map_raced, BackendKind, CacheLifecycle, DurabilityPolicy, Engine, EngineConfig, Job,
+    map_raced, BackendKind, CacheLifecycle, Counters, DurabilityPolicy, Engine, EngineConfig, Job,
     ShareConfig,
 };
 use sat_mapit::kernels;
@@ -48,7 +47,6 @@ SUBCOMMANDS:
     batch      Map the whole suite across mesh sizes through the parallel engine
     serve      Run the mapping daemon (line-delimited JSON over TCP)
     submit     Submit one mapping job to a running daemon
-    bench-service  Open-loop load test of the daemon; emits BENCH_service.json
 
 Run `satmapit <SUBCOMMAND> --help` for that subcommand's flags.";
 
@@ -71,7 +69,6 @@ fn main() {
         Some("batch") => cmd_batch(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
-        Some("bench-service") => cmd_bench_service(&args[1..]),
         Some("--help") | Some("-h") | Some("help") => println!("{TOP_HELP}"),
         Some(other) => {
             // lint: allow(log-discipline) -- usage errors are stderr's contract
@@ -441,6 +438,20 @@ fn cmd_sweep(args: &[String]) {
     }
 }
 
+/// What a `batch --stats` row counts, where the counter's name leaves it
+/// open (the full definitions are the `CacheStats` field docs).
+fn stat_note(name: &str) -> &'static str {
+    match name {
+        "bound_starts" => "  (misses whose II ladder started above MII from a proven bound)",
+        "arena_wasted" => "  (words: the largest dead-clause residue any solve carried)",
+        "shared_dropped" => {
+            "  (share-ring evictions; raise the ring capacity if persistently high)"
+        }
+        "bound_exchanges" => "  (II closures one backend proved for the other)",
+        _ => "",
+    }
+}
+
 fn cmd_batch(args: &[String]) {
     let spec = [
         FlagSpec {
@@ -632,41 +643,15 @@ fn cmd_batch(args: &[String]) {
     if parsed.value("--stats").is_some() {
         let stats = engine.cache_stats();
         println!("\ncache statistics");
-        println!("  result entries        {}", stats.entries);
-        println!("  hits                  {}", stats.hits);
-        println!("  misses                {}", stats.misses);
-        println!("  proven-bound entries  {}", stats.bound_entries);
+        println!("  {:<21} {}", "entries", stats.entries);
+        println!("  {:<21} {}", "bound_entries", stats.bound_entries);
         println!(
-            "  bound ladder starts   {} (misses whose II ladder started above MII from a proven bound)",
-            stats.bound_starts
+            "  {:<21} {}",
+            "persistent_entries", stats.persistent_entries
         );
-        if stats.persistent_entries > 0 || stats.persistent_hits > 0 {
-            println!("  persistent entries    {}", stats.persistent_entries);
-            println!("  persistent hits       {}", stats.persistent_hits);
+        for (name, _, value) in stats.fields() {
+            println!("  {name:<21} {value}{}", stat_note(name));
         }
-        println!("\nsolver arena");
-        println!("  gc runs               {}", stats.gc_runs);
-        println!("  lits reclaimed        {}", stats.lits_reclaimed);
-        println!(
-            "  peak arena waste      {} words (largest dead-clause residue any solve carried)",
-            stats.arena_wasted
-        );
-        if stats.shared_exported > 0 || stats.shared_imported > 0 {
-            println!("\nportfolio clause sharing");
-            println!("  clauses exported      {}", stats.shared_exported);
-            println!("  clauses imported      {}", stats.shared_imported);
-            println!(
-                "  ring drops            {} (raise the share ring capacity if persistently high)",
-                stats.shared_dropped
-            );
-        }
-        println!("\nbackend races");
-        println!("  sat wins              {}", stats.sat_wins);
-        println!("  morph wins            {}", stats.morph_wins);
-        println!(
-            "  bound exchanges       {} (II closures one backend proved for the other)",
-            stats.bound_exchanges
-        );
         println!("\nlatency by outcome (us)");
         println!(
             "  {:<12} {:>7} {:>10} {:>10} {:>10} {:>10}",
@@ -1104,279 +1089,5 @@ fn print_submit_summary(name: &str, reply: &Json) {
         }
         // lint: allow(log-discipline) -- failure outcomes are stderr's contract
         _ => eprintln!("malformed response: unknown result status"),
-    }
-}
-
-/// Outcome classes `bench-service` buckets responses into.
-const BENCH_CLASSES: [&str; 4] = ["hot", "cold", "timeout", "error"];
-
-/// A tiny chain DFG whose leading constant is `seed`: constants are part
-/// of the result fingerprint, so distinct seeds are distinct problems
-/// (cold misses) while a repeated seed replays from the cache (hot).
-fn bench_dfg(seed: i64) -> sat_mapit::dfg::Dfg {
-    use sat_mapit::dfg::{Dfg, Op};
-    let mut dfg = Dfg::new(format!("bench{seed}"));
-    let a = dfg.add_const(seed);
-    let b = dfg.add_node(Op::Neg);
-    let c = dfg.add_node(Op::Neg);
-    dfg.add_edge(a, b, 0);
-    dfg.add_edge(b, c, 0);
-    dfg
-}
-
-/// Buckets one response into a [`BENCH_CLASSES`] index.
-fn bench_classify(reply: &Json) -> usize {
-    if reply.get("ok").and_then(Json::as_bool) != Some(true) {
-        return 3; // error (shed, queue-full, malformed, ...)
-    }
-    let status = reply
-        .get("result")
-        .and_then(|r| r.get("status"))
-        .and_then(Json::as_str);
-    match status {
-        Some("failed") => 2, // the mix only induces failures via deadlines
-        _ if reply.get("cached").and_then(Json::as_bool) == Some(true) => 0,
-        _ => 1,
-    }
-}
-
-/// Renders one class's latency histogram for `BENCH_service.json`.
-fn bench_class_json(hist: &obs::Histogram) -> Json {
-    Json::obj(vec![
-        ("count", Json::Int(hist.count() as i64)),
-        ("mean_us", Json::Int(hist.mean() as i64)),
-        ("p50_us", Json::Int(hist.percentile(0.50) as i64)),
-        ("p90_us", Json::Int(hist.percentile(0.90) as i64)),
-        ("p99_us", Json::Int(hist.percentile(0.99) as i64)),
-        ("max_us", Json::Int(hist.max().unwrap_or(0) as i64)),
-    ])
-}
-
-fn cmd_bench_service(args: &[String]) {
-    let spec = [
-        FlagSpec {
-            name: "--addr",
-            takes_value: true,
-            help: "Load an already-running daemon at HOST:PORT (default: spawn one in-process on an ephemeral port)",
-        },
-        FlagSpec {
-            name: "--connections",
-            takes_value: true,
-            help: "Concurrent client connections (default 128)",
-        },
-        FlagSpec {
-            name: "--requests",
-            takes_value: true,
-            help: "Total requests across all connections (default 2048)",
-        },
-        FlagSpec {
-            name: "--rate",
-            takes_value: true,
-            help: "Open-loop arrival rate in requests/second (default 2000)",
-        },
-        FlagSpec {
-            name: "--out",
-            takes_value: true,
-            help: "Report file (default BENCH_service.json)",
-        },
-    ];
-    let help = render_help(
-        "satmapit bench-service [--addr HOST:PORT] [--connections N] [--requests N] [--rate R] [--out FILE]",
-        "Open-loop load test of the mapping daemon: arrivals are scheduled\nby --rate regardless of completions (so queueing delay is measured,\nnot hidden), spread over --connections concurrent connections, with\na fixed hot/cold/zero-deadline request mix. Emits per-outcome-class\nthroughput and latency percentiles as JSON (schema: docs/service.md).",
-        &spec,
-    );
-    let parsed = parse_args(args, &spec, &help);
-    reject_extra_positionals(&parsed, 0);
-
-    let connections = parsed.parse_num("--connections", 128usize).max(1);
-    let requests = parsed.parse_num("--requests", 2048usize).max(1);
-    let rate = parsed.parse_num("--rate", 2000f64).max(1.0);
-    let out_path = parsed.value("--out").unwrap_or("BENCH_service.json");
-
-    // An external daemon via --addr, or a self-hosted one on an
-    // ephemeral port (small problems, generous queue).
-    let (addr, local) = match parsed.value("--addr") {
-        Some(addr) => (addr.to_string(), None),
-        None => {
-            let config = ServerConfig {
-                queue_capacity: connections.max(64) * 4,
-                engine: EngineConfig {
-                    mapper: MapperConfig {
-                        timeout: Some(Duration::from_secs(10)),
-                        ..MapperConfig::default()
-                    },
-                    workers: 0,
-                    ..EngineConfig::default()
-                },
-                ..ServerConfig::default()
-            };
-            let server = Server::bind("127.0.0.1:0", config).unwrap_or_else(|e| {
-                obs::error!("satmapit::cli", "failed to start bench daemon: {e}");
-                exit(1);
-            });
-            let addr = server.local_addr().to_string();
-            (addr, Some(std::thread::spawn(move || server.run())))
-        }
-    };
-
-    println!(
-        "bench-service: {requests} requests at {rate:.0}/s over {connections} connections to {addr}"
-    );
-
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let start = std::time::Instant::now();
-    let gap = Duration::from_secs_f64(1.0 / rate);
-    let cgra = Cgra::square(2);
-    let per_thread: Vec<[obs::Histogram; 4]> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|_| {
-                let next = &next;
-                let addr = addr.as_str();
-                let cgra = &cgra;
-                scope.spawn(move || {
-                    let mut hists = [
-                        obs::Histogram::new(),
-                        obs::Histogram::new(),
-                        obs::Histogram::new(),
-                        obs::Histogram::new(),
-                    ];
-                    let Ok(mut client) = Client::connect_timeout(addr, Duration::from_secs(30))
-                    else {
-                        return hists;
-                    };
-                    loop {
-                        // ordering: a work-stealing ticket counter; each
-                        // arrival slot is claimed exactly once.
-                        let ticket = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if ticket >= requests {
-                            return hists;
-                        }
-                        // Open loop: this arrival's time is fixed by the
-                        // schedule, not by earlier completions.
-                        let due = start + gap.mul_f64(ticket as f64);
-                        if let Some(wait) = due.checked_duration_since(std::time::Instant::now()) {
-                            std::thread::sleep(wait);
-                        }
-                        // Mix: 10% expire at admission (zero deadline on a
-                        // fresh problem), 20% cold (fresh problem), 70% hot
-                        // (one of 4 repeated problems).
-                        let (seed, timeout_ms) = match ticket % 10 {
-                            9 => (1_000_000 + ticket as i64, Some(0)),
-                            7 | 8 => (1000 + ticket as i64, None),
-                            slot => (slot as i64, None),
-                        };
-                        let request = MapRequest {
-                            id: Some(ticket as i64),
-                            name: format!("bench{ticket}"),
-                            dfg: bench_dfg(seed),
-                            cgra: cgra.clone(),
-                            timeout_ms,
-                        };
-                        let sent = std::time::Instant::now();
-                        let Ok(reply) = client.map(&request) else {
-                            // A dead connection can't measure anything
-                            // more; count the failure and stop.
-                            hists[3].record(sent.elapsed().as_micros() as u64);
-                            return hists;
-                        };
-                        let us = sent.elapsed().as_micros() as u64;
-                        hists[bench_classify(&reply)].record(us);
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| std::array::from_fn(|_| obs::Histogram::new()))
-            })
-            .collect()
-    });
-    let elapsed = start.elapsed();
-
-    let mut merged: [obs::Histogram; 4] = std::array::from_fn(|_| obs::Histogram::new());
-    for hists in &per_thread {
-        for (into, from) in merged.iter_mut().zip(hists) {
-            into.merge(from);
-        }
-    }
-    let answered: u64 = merged.iter().map(obs::Histogram::count).sum();
-    let throughput = answered as f64 / elapsed.as_secs_f64().max(1e-9);
-
-    // Daemon-side admission counters, then shut a self-hosted daemon
-    // down (compacts its in-memory-only caches and joins cleanly).
-    let daemon_stats = Client::connect_timeout(&addr, Duration::from_secs(10))
-        .ok()
-        .and_then(|mut c| {
-            let stats = c.stats().ok();
-            if local.is_some() {
-                let _ = c.shutdown();
-            }
-            stats
-        });
-    if let Some(handle) = local {
-        match handle.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => obs::warn!("satmapit::cli", "bench daemon exited with: {e}"),
-            Err(_) => obs::warn!("satmapit::cli", "bench daemon panicked"),
-        }
-    }
-    let counter = |name: &str| {
-        daemon_stats
-            .as_ref()
-            .and_then(|s| s.get(name))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-
-    let classes = Json::obj(
-        BENCH_CLASSES
-            .iter()
-            .zip(&merged)
-            .map(|(&name, hist)| (name, bench_class_json(hist)))
-            .collect(),
-    );
-    let report = Json::obj(vec![
-        ("connections", Json::Int(connections as i64)),
-        ("requests", Json::Int(requests as i64)),
-        ("answered", Json::Int(answered as i64)),
-        ("rate_rps", Json::Int(rate as i64)),
-        ("elapsed_us", Json::Int(elapsed.as_micros() as i64)),
-        ("throughput_rps", Json::Int(throughput as i64)),
-        ("shed", Json::Int(counter("shed") as i64)),
-        ("rejected", Json::Int(counter("rejected") as i64)),
-        (
-            "expired_at_admission",
-            Json::Int(counter("expired_at_admission") as i64),
-        ),
-        ("classes", classes),
-    ]);
-    std::fs::write(out_path, format!("{report}\n")).unwrap_or_else(|e| {
-        obs::error!("satmapit::cli", "cannot write {out_path}: {e}");
-        exit(1);
-    });
-
-    println!(
-        "bench-service: {answered}/{requests} answered in {:.2}s ({throughput:.0} req/s) -> {out_path}",
-        elapsed.as_secs_f64()
-    );
-    for (name, hist) in BENCH_CLASSES.iter().zip(&merged) {
-        if hist.count() > 0 {
-            println!(
-                "  {name:<8} {:>6}  p50 {:>8}us  p99 {:>8}us",
-                hist.count(),
-                hist.percentile(0.50),
-                hist.percentile(0.99)
-            );
-        }
-    }
-    if answered < requests as u64 {
-        // lint: allow(log-discipline) -- failure outcomes are stderr's contract
-        eprintln!(
-            "bench-service: {} request(s) lost to dead connections",
-            requests as u64 - answered
-        );
-        exit(1);
     }
 }
