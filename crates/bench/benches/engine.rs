@@ -1,11 +1,10 @@
-//! Sequential mapper vs. parallel engine, wall-clock, on the 11-kernel
-//! suite: the headline numbers for the II-race. Also measures the cache's
-//! hit path and the portfolio overhead on a single kernel.
+//! Sequential mapper vs. the engine's miss path vs. the batch frontend,
+//! wall-clock, on the 11-kernel suite — and the cache's hit path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use satmapit_cgra::Cgra;
 use satmapit_core::Mapper;
-use satmapit_engine::{map_raced, Engine, EngineConfig, Job};
+use satmapit_engine::{solve, Engine, EngineConfig, Job};
 
 fn bench_suite_sequential_vs_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("suite_3x3");
@@ -26,7 +25,7 @@ fn bench_suite_sequential_vs_engine(c: &mut Criterion) {
             let config = EngineConfig::default();
             for kernel in satmapit_kernels::all() {
                 let cgra = Cgra::square(3);
-                let outcome = map_raced(&kernel.dfg, &cgra, &config);
+                let outcome = solve(&kernel.dfg, &cgra, &config, None);
                 assert!(outcome.ii().is_some(), "{}", kernel.name());
             }
         })
@@ -44,39 +43,6 @@ fn bench_suite_sequential_vs_engine(c: &mut Criterion) {
         })
     });
 
-    group.finish();
-}
-
-fn bench_single_kernel_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hotspot_3x3");
-    group.sample_size(10);
-    let kernel = satmapit_kernels::by_name("hotspot").unwrap();
-    let cgra = Cgra::square(3);
-
-    group.bench_function("sequential", |b| {
-        b.iter(|| Mapper::new(&kernel.dfg, &cgra).run())
-    });
-    for (label, config) in [
-        ("race_w4", EngineConfig::default()),
-        (
-            "race_w4_portfolio3",
-            EngineConfig {
-                portfolio: 3,
-                ..EngineConfig::default()
-            },
-        ),
-        (
-            "race_w1",
-            EngineConfig {
-                race_width: 1,
-                ..EngineConfig::default()
-            },
-        ),
-    ] {
-        group.bench_with_input(BenchmarkId::new("engine", label), &config, |b, config| {
-            b.iter(|| map_raced(&kernel.dfg, &cgra, config))
-        });
-    }
     group.finish();
 }
 
@@ -99,7 +65,6 @@ fn bench_cache_hit_path(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_suite_sequential_vs_engine,
-    bench_single_kernel_modes,
     bench_cache_hit_path
 );
 criterion_main!(benches);

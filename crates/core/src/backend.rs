@@ -1,13 +1,13 @@
 //! The backend abstraction: "a thing that attempts an II".
 //!
-//! The engine's II-race, the batch cache and the service tier never
+//! The engine's miss path, the batch cache and the service tier never
 //! cared *how* a candidate II gets answered — only that attempting one
 //! under [`SolveLimits`] yields the definitive/indefinite
 //! [`AttemptReport`] contract with cooperative cancellation. This trait
 //! makes that contract explicit so exact mappers with completely
 //! different search profiles (the SAT ladder here, the monomorphism
-//! mapper in `satmapit-morph`) can be raced interchangeably — and
-//! *against each other*, exchanging infeasibility proofs.
+//! mapper in `satmapit-morph`) can be driven interchangeably by the one
+//! II loop, [`crate::Rungs::climb`].
 //!
 //! ## The contract
 //!
@@ -25,9 +25,9 @@
 //!   non-definitive outcome);
 //! * an `AttemptOutcome::Unsat` report is a **proof**: no mapping
 //!   exists at that II under the problem semantics (mobility-window
-//!   slack, register feasibility). Proofs are what cross-backend races
-//!   may exchange as bounds, so a backend must never report `Unsat`
-//!   heuristically;
+//!   slack, register feasibility). Proofs are what the engine persists
+//!   as II lower bounds — and either backend later starts above — so a
+//!   backend must never report `Unsat` heuristically;
 //! * the stop flag and deadline are polled on a bounded cadence
 //!   (`satmapit_sat::LIMIT_POLL_INTERVAL` search steps for the in-tree
 //!   backends), so cancellation is observed promptly.
@@ -39,7 +39,7 @@ use satmapit_sat::SolveLimits;
 /// IIs under [`SolveLimits`]. See the module docs for the contract.
 pub trait Backend: Send + Sync {
     /// Stable short identity of the backend ("sat", "morph", …): names
-    /// race-trace tracks, per-backend win counters and bench entries.
+    /// the per-backend win counters and bench entries.
     fn name(&self) -> &'static str;
 
     /// The MII lower bound (`max(ResMII, RecMII)`).

@@ -28,10 +28,9 @@
 //! Because the prefix shares no variables with any per-II delta, its
 //! verdict is a per-session constant;
 //! [`PreparedMapper::proven_unmappable`] probes it lazily, once per
-//! session, so that one-shot [`PreparedMapper::attempt_ii`] calls — and
-//! the parallel II-race in `satmapit-engine`, whose rungs solve
-//! concurrently and cannot share one solver — get the unmappability
-//! signal without carrying any of the gated machinery.
+//! session, so that one-shot [`PreparedMapper::attempt_ii`] calls — what
+//! `satmapit-engine` climbs through the [`crate::Backend`] trait — get the
+//! unmappability signal without carrying any of the gated machinery.
 //!
 //! Neither entry point loads a rung the domain filter ([`crate::filter`])
 //! already refuted: the encoder hands back a marker instead of a formula
@@ -485,8 +484,7 @@ impl<'p, 'a> IiLadder<'p, 'a> {
 
     /// The live solver's cumulative effort counters — including the
     /// clause-arena occupancy gauges (`arena_words` / `arena_wasted`) and
-    /// GC counters, which is what the `solver_bench` waste measurements
-    /// read after a full ladder.
+    /// GC counters.
     pub fn solver_stats(&self) -> &SolverStats {
         self.solver.stats()
     }

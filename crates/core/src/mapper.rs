@@ -73,8 +73,7 @@ pub struct MapperConfig {
     /// [`crate::encoder::EncodeOptions::register_pressure`]).
     pub register_pressure: bool,
     /// Solver tunables (restart scale, phase seed). The defaults reproduce
-    /// the canonical solver; `satmapit-engine` races variations of these
-    /// in its portfolio mode.
+    /// the canonical solver.
     pub solver: SolverOptions,
 }
 
@@ -277,7 +276,7 @@ impl<'a> Mapper<'a> {
     /// returning a session that can attempt candidate IIs individually.
     ///
     /// This is the reusable core shared by the sequential [`Mapper::run`]
-    /// loop and the parallel II-race in `satmapit-engine`.
+    /// loop and the engine's miss path in `satmapit-engine`.
     pub fn prepare(&self) -> Result<PreparedMapper<'a>, MapFailure> {
         self.dfg.validate().map_err(MapFailure::InvalidDfg)?;
         let ms = MobilitySchedule::compute(self.dfg).expect("validated above");
@@ -499,9 +498,9 @@ pub(crate) fn failure_label(failure: &MapFailure) -> &'static str {
 }
 
 /// Runs one II attempt under a `rung` span: outcome plus every
-/// [`SolverStats`] counter of the attempt — and, when the GC or sharing
-/// counters are nonzero, companion `gc` and `share` instants so the
-/// categories are filterable on the timeline.
+/// [`SolverStats`] counter of the attempt — and, when the GC counters are
+/// nonzero, a companion `gc` instant so the category is filterable on the
+/// timeline.
 /// Shared by the one-shot [`PreparedMapper::attempt_ii`], the live
 /// [`crate::ladder::IiLadder::attempt_ii`], and out-of-crate
 /// [`crate::backend::Backend`] implementations (so every backend's rungs
@@ -570,19 +569,6 @@ pub fn traced_rung(
                 ],
             );
         }
-        if stats.shared_exported + stats.shared_imported + stats.shared_dropped > 0 {
-            trace::complete(
-                Category::Share,
-                &format!("share ii={ii}"),
-                end_us,
-                0,
-                vec![
-                    ("exported", ArgValue::Int(stats.shared_exported as i64)),
-                    ("imported", ArgValue::Int(stats.shared_imported as i64)),
-                    ("dropped", ArgValue::Int(stats.shared_dropped as i64)),
-                ],
-            );
-        }
     }
     result
 }
@@ -619,8 +605,7 @@ pub struct PreparedMapper<'a> {
     /// `true` means no II can map.
     /// Lazy so the sequential ladder — which installs the prefix in its
     /// own live solver anyway — never pays for a second build; the
-    /// one-shot race path probes it once and shares the cached verdict
-    /// with every cloned portfolio variant.
+    /// one-shot path probes it once per session.
     pub(crate) prefix_unsat: std::sync::OnceLock<bool>,
 }
 
@@ -651,8 +636,8 @@ impl<'a> PreparedMapper<'a> {
         &self.config
     }
 
-    /// Replaces the configuration (e.g. a portfolio variant's solver
-    /// options). The DFG/CGRA and precomputed schedule are reused.
+    /// Replaces the configuration. The DFG/CGRA and precomputed schedule
+    /// are reused.
     pub fn with_config(mut self, config: MapperConfig) -> PreparedMapper<'a> {
         self.config = config;
         self
@@ -686,9 +671,8 @@ impl<'a> PreparedMapper<'a> {
     /// `AttemptOutcome::SolverBudget(StopReason::Cancelled)` — is an `Ok`
     /// report.
     ///
-    /// Every attempt builds a fresh solver of its own — which is what
-    /// lets race lanes attempt different IIs of one session concurrently,
-    /// and makes a plain loop over this method the paper's scratch ladder.
+    /// Every attempt builds a fresh solver of its own, so a plain loop
+    /// over this method is the paper's scratch ladder.
     /// The II-invariant PE-level prefix of [`crate::ladder`] is probed
     /// once per session ([`PreparedMapper::proven_unmappable`]); if it is
     /// contradictory, the attempt answers `Unsat` with
@@ -719,18 +703,6 @@ impl<'a> PreparedMapper<'a> {
             return Ok(AttemptReport::filter_refuted(ii, enc.stats, t_ii.elapsed()));
         }
         let mut solver = Solver::from_cnf_with(&enc.formula, &self.config.solver);
-        // Portfolio learnt-clause sharing: the engine's race hands each
-        // sibling a handle through the limits; connect it under the
-        // compatibility class of the exact CNF this attempt encoded, so
-        // only siblings with an identical formula (same II, same AMO
-        // encoding, same variable numbering) exchange clauses. The
-        // register-allocation cuts the rung may add automatically disable
-        // this solver's exports (they are local clauses); imports stay
-        // sound.
-        if let Some(share) = &limits.share {
-            let class = satmapit_sat::formula_class(&enc.formula);
-            solver.connect_share(share.clone(), class);
-        }
         // A solver of its own, nothing ahead of the encoding in it: no
         // gate, variable base 0.
         crate::ladder::solve_rung(self, &mut solver, &enc, &kms, None, 0, limits, t_ii)

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use crate::fingerprint::{fingerprint, problem_fingerprint, Fingerprint};
 use crate::persist::{self, Appender, StoreKind};
-use crate::race::{map_raced_with_bound, EngineOutcome, RaceStats};
+use crate::race::{solve, EngineOutcome};
 use crate::EngineConfig;
 use satmapit_core::AttemptOutcome;
 use satmapit_obs as obs;
@@ -61,9 +61,11 @@ satmapit_sat::counters! {
     /// Cache occupancy and traffic counters. The `u64` counters are a
     /// table (see [`mod@satmapit_sat::counters`]): the engine keeps one atomic
     /// per entry, and the wire `stats` object and `batch --stats` list
-    /// them from the declaration. A counter whose name [`RaceStats`] or
-    /// [`satmapit_sat::SolverStats`] also declares is fed from every solve
-    /// this engine runs (see [`Engine::cache_stats`]).
+    /// them from the declaration. A counter whose name
+    /// [`crate::RaceStats`] or [`satmapit_sat::SolverStats`] also declares
+    /// is fed from every solve this engine runs (see
+    /// [`Engine::cache_stats`]). The table is append-only and persisted by
+    /// position, so retired counters keep their slots and read 0.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct CacheStats {
         /// Distinct results currently held.
@@ -102,24 +104,20 @@ satmapit_sat::counters! {
         /// behind — an upper bound on how much dead clause memory a single
         /// solver carried at once.
         arena_wasted: peak,
-        /// Learnt clauses exported to portfolio share pools across every
-        /// race this engine ran (cancelled siblings included; see
-        /// [`crate::RaceStats::shared_exported`]). 0 with sharing off.
+        /// Retired with learnt-clause sharing (PR 24), always 0.
         shared_exported: sum,
-        /// Sibling clauses imported at restart boundaries, summed likewise.
+        /// Retired likewise, always 0.
         shared_imported: sum,
-        /// Share-pool ring evictions, summed likewise.
+        /// Retired likewise, always 0.
         shared_dropped: sum,
-        /// Races won by a SAT lane (the winning mapping came from the SAT
-        /// backend), summed across every solve this engine ran (see
+        /// Solves whose mapping came from the SAT backend, summed across
+        /// every solve this engine ran (see
         /// [`crate::RaceStats::sat_wins`]).
         sat_wins: sum,
-        /// Races won by the morph lane, summed likewise.
+        /// Solves whose mapping came from the morph backend, summed
+        /// likewise.
         morph_wins: sum,
-        /// Cross-backend bound exchanges: II closures where one backend's
-        /// `Unsat` proof spared the other backend the rung (see
-        /// [`crate::RaceStats::bound_exchanges`]). 0 outside
-        /// [`crate::BackendKind::Race`].
+        /// Retired with the cross-backend lane (PR 24), always 0.
         bound_exchanges: sum,
         /// Result-cache entries evicted by the size bound
         /// ([`crate::CacheLifecycle::max_entries`]), least-recently-used
@@ -179,9 +177,13 @@ struct CacheEntry {
     /// Engine-wide access tick at last use; the size bound evicts the
     /// smallest first (least recently used).
     last_used: u64,
+    /// `true` when the entry was loaded from the on-disk store at startup
+    /// (hits on it count as persistent hits); an entry this process solved
+    /// — first time or again after an eviction — is born `false`.
+    from_disk: bool,
 }
 
-/// A mapping service: solves through the II-race and memoizes every result
+/// A mapping service: solves through [`solve`] and memoizes every result
 /// under a content hash of (DFG structure, CGRA, configuration), so
 /// repeated requests are O(1).
 ///
@@ -232,16 +234,12 @@ pub struct Engine {
     persist: Option<Persistence>,
 }
 
-/// Open on-disk stores plus the keys they seeded the caches with.
+/// The open on-disk stores and their write-path state.
 #[derive(Debug)]
 struct Persistence {
     dir: PathBuf,
     results: Mutex<Appender>,
     bounds: Mutex<Appender>,
-    /// Result-cache keys that came from disk (lookups hitting these
-    /// count as persistent hits; [`Engine::clear_cache`] empties it so a
-    /// re-solved key is no longer reported as loaded-from-disk).
-    loaded: Mutex<HashSet<Fingerprint>>,
     /// `true` once anything was appended since the last compaction; lets
     /// the drop-time compaction skip rewriting files that are already
     /// exactly the live set.
@@ -323,7 +321,6 @@ impl Engine {
         warnings.extend(load_warnings);
         let (bounds, bound_warnings) = persist::load_bounds(dir)?;
         warnings.extend(bound_warnings);
-        let loaded: HashSet<Fingerprint> = results.keys().copied().collect();
         let persistence = Persistence {
             results: Mutex::new(Appender::open(
                 &dir.join(persist::RESULTS_FILE),
@@ -334,7 +331,6 @@ impl Engine {
                 StoreKind::Bounds,
             )?),
             dir: dir.to_path_buf(),
-            loaded: Mutex::new(loaded),
             dirty: std::sync::atomic::AtomicBool::new(false),
             appends: AtomicU64::new(0),
             compacting: std::sync::atomic::AtomicBool::new(false),
@@ -355,6 +351,7 @@ impl Engine {
                         outcome,
                         inserted: now,
                         last_used: 0,
+                        from_disk: true,
                     },
                 )
             })
@@ -384,15 +381,19 @@ impl Engine {
 
     /// Cache occupancy and traffic counters. Besides the events the engine
     /// counts itself, every solve feeds the counters whose names the
-    /// solve's own statistics declare: [`RaceStats`] counters come from
-    /// the race (which sums over cancelled siblings too), the remaining
-    /// [`satmapit_sat::SolverStats`] counters from the attempts the
-    /// outcome lists — sums added up, peaks kept.
+    /// solve's own statistics declare: [`crate::RaceStats`] counters from
+    /// the outcome's `stats`, [`satmapit_sat::SolverStats`] counters from
+    /// the attempts the outcome lists — sums added up, peaks kept.
     pub fn cache_stats(&self) -> CacheStats {
+        let (entries, persistent_entries) = {
+            let cache = lock(&self.cache);
+            let from_disk = cache.values().filter(|entry| entry.from_disk).count();
+            (cache.len(), from_disk)
+        };
         let mut stats = CacheStats {
-            entries: lock(&self.cache).len(),
+            entries,
             bound_entries: lock(&self.bounds).len(),
-            persistent_entries: self.persist.as_ref().map_or(0, |p| lock(&p.loaded).len()),
+            persistent_entries,
             degraded: self.degraded(),
             ..CacheStats::default()
         };
@@ -411,13 +412,9 @@ impl Engine {
     fn absorb(&self, outcome: &EngineOutcome) {
         let mut effort = CacheStats::default();
         effort.absorb(outcome.stats.fields());
-        // What the race sums itself is taken from the race, not from the
-        // attempt trace: cancelled siblings (whose attempts never reach
-        // the trace) are where most clause exports happen.
-        let race_counts = |name| index_of(RaceStats::TABLE, name).is_some();
         for attempt in &outcome.outcome.attempts {
             if let Some(stats) = &attempt.solver_stats {
-                effort.absorb(stats.fields().filter(|&(name, _, _)| !race_counts(name)));
+                effort.absorb(stats.fields());
             }
         }
         for (counter, (_, kind, value)) in self.counters.iter().zip(effort.fields()) {
@@ -448,9 +445,6 @@ impl Engine {
         lock(&self.cache).clear();
         lock(&self.bounds).clear();
         if let Some(persist) = &self.persist {
-            // Keys re-solved after a clear are fresh work, not replays of
-            // the on-disk store; they must not report as persistent hits.
-            lock(&persist.loaded).clear();
             // The stores no longer match the (now empty) live set.
             // ordering: dirty is a single advisory flag read at drop;
             // nothing synchronizes through it.
@@ -550,7 +544,13 @@ impl Engine {
     /// deadline still serve cached answers instead of a reflexive
     /// timeout.
     pub fn lookup_cached(&self, dfg: &Dfg, cgra: &Cgra) -> Option<Served> {
-        let key = fingerprint(dfg, cgra, &self.config);
+        self.probe(fingerprint(dfg, cgra, &self.config))
+    }
+
+    /// The one cache-hit path: looks `key` up, stamps the entry's LRU
+    /// tick, books the hit (and the persistent hit, for an entry loaded
+    /// from disk) and records the `cache_probe` span.
+    fn probe(&self, key: Fingerprint) -> Option<Served> {
         let mut span = obs::trace::Span::begin(obs::trace::Category::Persist, "cache_probe");
         let hit = {
             // ordering: the LRU tick only needs uniqueness-ish
@@ -559,25 +559,21 @@ impl Engine {
             let mut cache = lock(&self.cache);
             cache.get_mut(&key).map(|entry| {
                 entry.last_used = tick;
-                Arc::clone(&entry.outcome)
+                (Arc::clone(&entry.outcome), entry.from_disk)
             })
         };
-        let Some(hit) = hit else {
+        let Some((outcome, persistent)) = hit else {
             span.arg("hit", 0);
             return None;
         };
         self.bump(const { slot("hits") });
-        let persistent = self
-            .persist
-            .as_ref()
-            .is_some_and(|p| lock(&p.loaded).contains(&key));
         if persistent {
             self.bump(const { slot("persistent_hits") });
         }
         span.arg("hit", 1);
         span.arg("persistent", i64::from(persistent));
         Some(Served {
-            outcome: hit,
+            outcome,
             key,
             cached: true,
             persistent,
@@ -604,7 +600,7 @@ impl Engine {
     /// configured timeout and the remaining time to `deadline`.
     pub fn map_with_deadline(&self, dfg: &Dfg, cgra: &Cgra, deadline: Option<Instant>) -> Served {
         let key = fingerprint(dfg, cgra, &self.config);
-        self.map_keyed(key, dfg, cgra, self.config.effective_workers(), deadline)
+        self.map_keyed(key, dfg, cgra, deadline)
     }
 
     fn map_keyed(
@@ -612,49 +608,11 @@ impl Engine {
         key: Fingerprint,
         dfg: &Dfg,
         cgra: &Cgra,
-        workers: usize,
         deadline: Option<Instant>,
     ) -> Served {
         loop {
-            let hit = {
-                // ordering: LRU tick, as in lookup_cached.
-                let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-                let mut cache = lock(&self.cache);
-                cache.get_mut(&key).map(|entry| {
-                    entry.last_used = tick;
-                    Arc::clone(&entry.outcome)
-                })
-            };
-            if let Some(hit) = hit {
-                self.bump(const { slot("hits") });
-                let persistent = self
-                    .persist
-                    .as_ref()
-                    .is_some_and(|p| lock(&p.loaded).contains(&key));
-                if persistent {
-                    self.bump(const { slot("persistent_hits") });
-                }
-                if obs::trace::enabled() {
-                    obs::trace::complete(
-                        obs::trace::Category::Persist,
-                        "cache_probe",
-                        obs::trace::now_us(),
-                        0,
-                        vec![
-                            ("hit", obs::trace::ArgValue::Int(1)),
-                            (
-                                "persistent",
-                                obs::trace::ArgValue::Int(i64::from(persistent)),
-                            ),
-                        ],
-                    );
-                }
-                return Served {
-                    outcome: hit,
-                    key,
-                    cached: true,
-                    persistent,
-                };
+            if let Some(served) = self.probe(key) {
+                return served;
             }
             // Become the leader for this key, or wait for the current one
             // and re-read the cache (its result lands there unless it was
@@ -665,11 +623,11 @@ impl Engine {
                     // A follower whose own deadline has passed must not
                     // keep waiting on a leader with a laxer budget: fall
                     // through and solve — with the expired deadline the
-                    // race reports Timeout almost immediately, honouring
-                    // this caller's budget without disturbing the leader.
+                    // climb reports Timeout at once, honouring this
+                    // caller's budget without disturbing the leader.
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         drop(inflight);
-                        return self.solve_keyed(key, dfg, cgra, workers, deadline);
+                        return self.solve_keyed(key, dfg, cgra, deadline);
                     }
                     let _wait = self
                         .inflight_cv
@@ -693,22 +651,20 @@ impl Engine {
                 }
             }
             let _guard = InflightGuard { engine: self, key };
-            return self.solve_keyed(key, dfg, cgra, workers, deadline);
+            return self.solve_keyed(key, dfg, cgra, deadline);
         }
     }
 
-    /// The miss path: race the problem, record bounds, memoize and
+    /// The miss path: solve the problem, record bounds, memoize and
     /// persist. Callers hold the in-flight leadership for `key`.
     fn solve_keyed(
         &self,
         key: Fingerprint,
         dfg: &Dfg,
         cgra: &Cgra,
-        workers: usize,
         deadline: Option<Instant>,
     ) -> Served {
         let mut config = self.config.clone();
-        config.workers = workers.max(1);
         if let Some(deadline) = deadline {
             let remaining = deadline.saturating_duration_since(Instant::now());
             config.mapper.timeout = Some(match config.mapper.timeout {
@@ -718,20 +674,20 @@ impl Engine {
         }
         // Consume any proven lower bound for this problem: rungs below it
         // were already answered Unsat (possibly by a differently-configured
-        // or timed-out run), so the race starts above them.
+        // or timed-out run), so the climb starts above them.
         let problem_key = problem_fingerprint(dfg, cgra, &config.mapper);
         let known_bound = lock(&self.bounds).get(&problem_key).copied();
         if known_bound.is_some() {
             self.bump(const { slot("bound_starts") });
         }
-        let outcome = Arc::new(map_raced_with_bound(dfg, cgra, &config, known_bound));
+        let outcome = Arc::new(solve(dfg, cgra, &config, known_bound));
         self.bump(const { slot("misses") });
         self.absorb(&outcome);
         self.record_bound(problem_key, known_bound, &outcome);
         // Wall-clock-dependent failures are not memoized: a timed-out job
-        // resubmitted later (idler machine, luckier race) deserves a fresh
-        // solve. Internal failures (a panicking worker, caught and
-        // isolated by the race) are likewise transient — memoizing one
+        // resubmitted later (idler machine) deserves a fresh
+        // solve. Internal failures (a panicking attempt, caught and
+        // isolated by `solve`) are likewise transient — memoizing one
         // would pin a crash report into the cache forever. Everything
         // else — successes and deterministic failures — is cached; the
         // first insert wins so concurrent solvers of the same key still
@@ -750,7 +706,7 @@ impl Engine {
             };
         }
         let shared = {
-            // ordering: LRU tick, as in lookup_cached. Taken before the
+            // ordering: LRU tick, as in `probe`. Taken before the
             // lock so the freshly inserted entry carries the newest
             // stamp and can never be the eviction victim it just made
             // room for.
@@ -760,14 +716,15 @@ impl Engine {
                 outcome: Arc::clone(&outcome),
                 inserted: Instant::now(),
                 last_used: 0,
+                from_disk: false,
             });
             entry.last_used = tick;
             let shared = Arc::clone(&entry.outcome);
             self.evict_locked(&mut cache);
             shared
         };
-        // Only the winning insert reaches the store — a lane that lost the
-        // race to an identical key must not write a duplicate record.
+        // Only the winning insert reaches the store — a caller that lost
+        // the insert to an identical key must not write a duplicate record.
         if Arc::ptr_eq(&shared, &outcome) {
             if let Some(persist) = &self.persist {
                 let mut span =
@@ -791,7 +748,7 @@ impl Engine {
     }
 
     /// Extracts and records the II lower bound this outcome proved: the
-    /// contiguous run of `Unsat` closures anchored at the race's start
+    /// contiguous run of `Unsat` rungs anchored at the climb's start
     /// (IIs below the start are covered by the MII theory plus the
     /// previously recorded bound), or `u32::MAX` when an UNSAT core proved
     /// the problem unmappable at every II. Only sound proofs feed the map
@@ -812,7 +769,7 @@ impl Engine {
         } else {
             let anchor = outcome.stats.race_start;
             if anchor == 0 {
-                return; // the race never ran
+                return; // no rung was attempted
             }
             let mut expected = anchor;
             for attempt in &outcome.outcome.attempts {
@@ -857,9 +814,12 @@ impl Engine {
     /// cache lock held: first sweeps entries past `max_age`, then evicts
     /// least-recently-used entries until `max_entries` is honoured. The
     /// caller just inserted the newest entry, which carries the highest
-    /// tick and therefore never evicts itself.
+    /// tick and therefore never evicts itself. An eviction marks the
+    /// store dirty: it still holds the evicted record until the next
+    /// compaction.
     fn evict_locked(&self, cache: &mut HashMap<Fingerprint, CacheEntry>) {
         let lifecycle = &self.config.lifecycle;
+        let before = cache.len();
         if let Some(max_age) = lifecycle.max_age {
             let now = Instant::now();
             let expired: Vec<Fingerprint> = cache
@@ -869,32 +829,19 @@ impl Engine {
                 .collect();
             for key in expired {
                 cache.remove(&key);
-                self.drop_loaded(key);
                 self.bump(const { slot("evicted_age") });
             }
         }
-        if lifecycle.max_entries == 0 {
-            return;
-        }
-        while cache.len() > lifecycle.max_entries {
+        while lifecycle.max_entries > 0 && cache.len() > lifecycle.max_entries {
             let victim = cache
                 .iter()
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(&key, _)| key);
             let Some(victim) = victim else { break };
             cache.remove(&victim);
-            self.drop_loaded(victim);
             self.bump(const { slot("evicted_size") });
         }
-    }
-
-    /// Forgets that `key` was seeded from disk, so a later re-solve of an
-    /// evicted entry is fresh work, not a persistent hit — and marks the
-    /// store dirty, because it still holds the evicted record until the
-    /// next compaction.
-    fn drop_loaded(&self, key: Fingerprint) {
-        if let Some(persist) = &self.persist {
-            lock(&persist.loaded).remove(&key);
+        if let Some(persist) = self.persist.as_ref().filter(|_| cache.len() < before) {
             // ordering: advisory dirty flag, read at drop.
             persist.dirty.store(true, Ordering::Relaxed);
         }
@@ -1005,10 +952,10 @@ impl Engine {
     }
 
     /// Maps a whole batch over a bounded pool: up to `workers` distinct
-    /// jobs run concurrently, each receiving a proportional share of the
-    /// worker budget for its own II-race. Jobs with identical content
-    /// (same fingerprint) are solved once and fanned out — duplicates
-    /// come back as cache hits. Results come back in job order.
+    /// jobs run concurrently, each a sequential solve on its own thread.
+    /// Jobs with identical content (same fingerprint) are solved once and
+    /// fanned out — duplicates come back as cache hits. Results come back
+    /// in job order.
     pub fn map_batch(&self, jobs: Vec<Job>) -> Vec<BatchItem> {
         if jobs.is_empty() {
             return Vec::new();
@@ -1018,7 +965,7 @@ impl Engine {
             .map(|job| fingerprint(&job.dfg, &job.cgra, &self.config))
             .collect();
         // In-flight dedup: solve each distinct fingerprint exactly once
-        // (the cache alone can't prevent two lanes racing the same key).
+        // (the cache alone can't prevent two lanes solving the same key).
         let mut seen: HashSet<Fingerprint> = HashSet::new();
         let first_occurrence: Vec<bool> = keys.iter().map(|&k| seen.insert(k)).collect();
         let unique: Vec<usize> = first_occurrence
@@ -1027,9 +974,7 @@ impl Engine {
             .filter_map(|(index, &first)| first.then_some(index))
             .collect();
 
-        let budget = self.config.effective_workers();
-        let lanes = budget.min(unique.len()).max(1);
-        let inner_workers = (budget / lanes).max(1);
+        let lanes = self.config.effective_workers().min(unique.len()).max(1);
 
         type Solved = (Arc<EngineOutcome>, bool, Duration);
         let solved: Vec<Mutex<Option<Solved>>> = unique.iter().map(|_| Mutex::new(None)).collect();
@@ -1048,8 +993,7 @@ impl Engine {
                     let index = unique[slot];
                     let job = &jobs[index];
                     let t0 = Instant::now();
-                    let served =
-                        self.map_keyed(keys[index], &job.dfg, &job.cgra, inner_workers, None);
+                    let served = self.map_keyed(keys[index], &job.dfg, &job.cgra, None);
                     *lock(&solved[slot]) = Some((served.outcome, served.cached, t0.elapsed()));
                 });
             }

@@ -139,22 +139,11 @@ pub fn hash_config(h: &mut Hasher, config: &EngineConfig) {
     // The retired arena-GC ablation switch (always on now) was hashed
     // here as one byte; its constant stays, like the two above.
     h.write(&[1]);
-    h.write_u64(config.race_width as u64);
-    h.write_u64(config.portfolio as u64);
-    // Learnt-clause sharing changes which (equally valid) model a
-    // portfolio finds, so its knobs move the result key — but only when
-    // sharing can actually engage (enabled *and* ≥ 2 siblings per II,
-    // matching the race's activation condition): share-off and
-    // portfolio-1 configurations must keep hashing exactly like builds
-    // that predate the feature, so existing persistent caches stay warm.
-    // (The *problem* fingerprint below excludes sharing entirely: UNSAT
-    // proofs are share-independent.)
-    if config.share.enabled && config.portfolio > 1 {
-        h.write_str("share");
-        h.write_u64(u64::from(config.share.share_lbd_max));
-        h.write_u64(config.share.share_len_max as u64);
-        h.write_u64(config.share.share_ring_cap as u64);
-    }
+    // The retired II-race hashed its window (`race_width`, default 4)
+    // and its solver `portfolio` size (default 1) here as one u64 each;
+    // the constants stay, like the bytes above.
+    h.write_u64(4);
+    h.write_u64(1);
     // The backend choice can change which (equally valid) model is found
     // for a feasible II, so non-default kinds move the result key — but
     // the default (Sat) hashes nothing, keeping every pre-backend
@@ -180,8 +169,8 @@ pub fn fingerprint(dfg: &Dfg, cgra: &Cgra, config: &EngineConfig) -> Fingerprint
 /// and the two configuration knobs that change which IIs are feasible
 /// (mobility-window slack and the C4 register-pressure constraints).
 ///
-/// Unlike [`fingerprint`], execution knobs — timeouts, worker counts, race
-/// width, solver seeds, AMO encoding — are excluded: an
+/// Unlike [`fingerprint`], execution knobs — timeouts, worker counts,
+/// solver seeds, AMO encoding — are excluded: an
 /// `Unsat` proof at some II transfers between any two configurations that
 /// agree on this key. The engine's proven-II-bound cache is keyed on it,
 /// so a retried job (longer timeout, different parallelism) starts its
@@ -342,67 +331,10 @@ mod tests {
     }
 
     #[test]
-    fn share_off_keys_are_bit_identical_to_pre_share_keys() {
-        // The share field only joins the hash when enabled: a share-off
-        // config must hash exactly like the default (which is how every
-        // pre-feature persistent cache was keyed), while share-on moves
-        // the result key but never the problem key.
-        let dfg = sample_dfg("x");
-        let cgra = Cgra::square(3);
-        let default_config = EngineConfig::default();
-        let mut off = EngineConfig::default();
-        off.share = crate::ShareConfig::off();
-        assert_eq!(
-            fingerprint(&dfg, &cgra, &default_config),
-            fingerprint(&dfg, &cgra, &off)
-        );
-
-        // Share-on with a portfolio of one cannot engage (the race needs
-        // ≥ 2 siblings per II), so it must keep the pre-share key too —
-        // toggling --share at portfolio 1 must not cold the caches.
-        let on_solo = EngineConfig {
-            share: crate::ShareConfig::on(),
-            ..EngineConfig::default()
-        };
-        assert_eq!(on_solo.portfolio, 1);
-        assert_eq!(
-            fingerprint(&dfg, &cgra, &default_config),
-            fingerprint(&dfg, &cgra, &on_solo)
-        );
-
-        let on = EngineConfig {
-            portfolio: 2,
-            share: crate::ShareConfig::on(),
-            ..EngineConfig::default()
-        };
-        let off_portfolio = EngineConfig {
-            portfolio: 2,
-            ..EngineConfig::default()
-        };
-        assert_ne!(
-            fingerprint(&dfg, &cgra, &off_portfolio),
-            fingerprint(&dfg, &cgra, &on),
-            "engaged sharing can change the model found, so it moves the result key"
-        );
-        let mut on_small_ring = on.clone();
-        on_small_ring.share.share_ring_cap = 7;
-        assert_ne!(
-            fingerprint(&dfg, &cgra, &on),
-            fingerprint(&dfg, &cgra, &on_small_ring)
-        );
-
-        // The proven-II-bound key is share-blind: UNSAT proofs transfer.
-        assert_eq!(
-            problem_fingerprint(&dfg, &cgra, &default_config.mapper),
-            problem_fingerprint(&dfg, &cgra, &on.mapper)
-        );
-    }
-
-    #[test]
     fn default_backend_keys_are_bit_identical_to_pre_backend_keys() {
         // The backend field only joins the hash when it is not Sat: a
         // default config must hash exactly like builds that predate the
-        // field (warm caches), while morph/race move the result key but
+        // field (warm caches), while morph moves the result key but
         // never the problem key (UNSAT proofs are backend-independent).
         let dfg = sample_dfg("x");
         let cgra = Cgra::square(3);
@@ -419,17 +351,9 @@ mod tests {
             backend: crate::BackendKind::Morph,
             ..EngineConfig::default()
         };
-        let race = EngineConfig {
-            backend: crate::BackendKind::Race,
-            ..EngineConfig::default()
-        };
         assert_ne!(
             fingerprint(&dfg, &cgra, &default_config),
             fingerprint(&dfg, &cgra, &morph)
-        );
-        assert_ne!(
-            fingerprint(&dfg, &cgra, &morph),
-            fingerprint(&dfg, &cgra, &race)
         );
         assert_eq!(
             problem_fingerprint(&dfg, &cgra, &morph.mapper),

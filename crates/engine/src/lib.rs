@@ -1,37 +1,33 @@
 //! # satmapit-engine
 //!
-//! A multi-threaded mapping engine layered on the SAT-MapIt mapper
-//! (`satmapit-core`). The sequential search of paper Fig. 3 proves
-//! candidate IIs infeasible one at a time; this crate attacks that
-//! wall-clock bottleneck on three fronts:
+//! The batch and caching layer over the SAT-MapIt mapper
+//! (`satmapit-core`):
 //!
-//! 1. **II-race** ([`map_raced`]): a pool of workers speculatively solves
-//!    II, II+1, …, II+k concurrently. A shared stop flag (plumbed into
-//!    [`satmapit_sat::SolveLimits`]) cancels losing workers cooperatively
-//!    the moment a lower feasible II is proven, and UNSAT proofs at low
-//!    IIs slide the race window upward.
-//! 2. **Portfolio**: optionally, several solver configurations (phase
-//!    seed, restart scale, at-most-one encoding) race *the same* II; the
-//!    first definitive answer cancels its siblings.
-//! 3. **Batch + cache** ([`Engine`]): many (kernel × CGRA) jobs over a
+//! 1. **One II loop** ([`solve`]): a miss climbs the paper's sequential
+//!    ladder (Fig. 3) through [`satmapit_core::run_ladder`] and the
+//!    configured [`satmapit_core::Backend`], starting above any II lower
+//!    bound already proven for the problem.
+//! 2. **Batch + cache** ([`Engine`]): many (kernel × CGRA) jobs over a
 //!    bounded worker pool, memoized in a content-hash-keyed result cache
-//!    — repeated requests are O(1) and return byte-identical results.
+//!    — repeated requests are O(1) and return byte-identical results —
+//!    and, optionally, persisted to checksummed stores ([`persist`]).
 //!
-//! The engine returns **the same best II as the sequential mapper**
-//! whenever the sequential search is exact (the default configuration);
-//! see [`race`] for the precise guarantee.
+//! The engine returns **the per-II trace, mapping and best II of a plain
+//! loop over the backend's one-shot `attempt_ii`**, which is the best II
+//! of the sequential mapper whenever its search is exact (the default
+//! configuration).
 //!
 //! ```
 //! use satmapit_cgra::Cgra;
 //! use satmapit_dfg::{Dfg, Op};
-//! use satmapit_engine::{map_raced, EngineConfig};
+//! use satmapit_engine::{solve, EngineConfig};
 //!
 //! let mut dfg = Dfg::new("pair");
 //! let a = dfg.add_const(1);
 //! let b = dfg.add_node(Op::Neg);
 //! dfg.add_edge(a, b, 0);
 //!
-//! let outcome = map_raced(&dfg, &Cgra::square(2), &EngineConfig::default());
+//! let outcome = solve(&dfg, &Cgra::square(2), &EngineConfig::default(), None);
 //! assert_eq!(outcome.ii(), Some(1));
 //! ```
 
@@ -45,33 +41,29 @@ pub mod race;
 
 pub use batch::{BatchItem, CacheStats, Engine, Job, Served};
 pub use fingerprint::{problem_fingerprint, Fingerprint};
-pub use race::{map_raced, map_raced_with_bound, portfolio_variant, EngineOutcome, RaceStats};
+pub use race::{solve, EngineOutcome, RaceStats};
 /// The counter-table machinery behind [`RaceStats`] and [`CacheStats`],
 /// for callers that list or fold the counters (wire, CLI, tests).
 pub use satmapit_sat::{CounterKind, Counters};
 
 use satmapit_core::MapperConfig;
 
-/// Which exact backend(s) the engine runs (see
+/// Which exact backend the engine climbs the II ladder on (see
 /// [`satmapit_core::Backend`] for the per-II attempt contract and
-/// `docs/backends.md` for the cross-backend design).
+/// `docs/backends.md` for the design).
 ///
-/// Every kind is exact and agrees on the best II: `Sat` and `Morph` are
-/// single-backend races over the same KMS candidate space, and `Race`
-/// runs both concurrently on the same II window with bound exchange —
-/// an UNSAT proof from either backend closes the II for both. The
-/// default (`Sat`) hashes into no fingerprint, so existing caches stay
-/// warm; the other kinds join the result key (a morph-found mapping for
-/// a feasible II can legitimately differ from the SAT model).
+/// Both kinds are exact and agree on the best II: they search the same
+/// KMS candidate space, so an `Unsat` rung of either is a bound the other
+/// may start above. The default (`Sat`) hashes into no fingerprint, so
+/// existing caches stay warm; `Morph` joins the result key (a morph-found
+/// mapping for a feasible II can legitimately differ from the SAT model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// The SAT ladder (paper backend), optionally a solver portfolio.
+    /// The SAT ladder (paper backend).
     #[default]
     Sat,
-    /// The monomorphism search (`satmapit-morph`) alone.
+    /// The monomorphism search (`satmapit-morph`).
     Morph,
-    /// Both backends cross-raced on the same II window.
-    Race,
 }
 
 impl BackendKind {
@@ -80,7 +72,6 @@ impl BackendKind {
         match self {
             BackendKind::Sat => "sat",
             BackendKind::Morph => "morph",
-            BackendKind::Race => "race",
         }
     }
 
@@ -89,7 +80,6 @@ impl BackendKind {
         match s {
             "sat" => Some(BackendKind::Sat),
             "morph" => Some(BackendKind::Morph),
-            "race" => Some(BackendKind::Race),
             _ => None,
         }
     }
@@ -98,57 +88,6 @@ impl BackendKind {
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Learnt-clause sharing between the portfolio siblings racing one II
-/// (see [`satmapit_sat::share`] for the pool mechanics and soundness
-/// rules). Off by default: with sharing off (or `portfolio = 1`) the
-/// race is bit-identical to a build without the feature, and the result
-/// fingerprint is unchanged. With sharing on, siblings exchange short
-/// low-LBD lemmas through a bounded per-II pool — which can change which
-/// (equally valid) model is found and how fast, so the knobs join the
-/// result fingerprint, and determinism requires `portfolio = 1` or
-/// sharing off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShareConfig {
-    /// Master switch. `false` ⇒ no pool is ever allocated and the solver
-    /// hot path is untouched.
-    pub enabled: bool,
-    /// Only clauses with LBD ≤ this are exported (the classic portfolio
-    /// quality filter; glue clauses travel, noise stays home).
-    pub share_lbd_max: u32,
-    /// Only clauses with at most this many literals are exported.
-    pub share_len_max: usize,
-    /// Capacity of each per-II pool ring; bounds share-pool memory at
-    /// `ring_cap × mean clause size` per open II. Overflow evicts the
-    /// oldest clause (counted in `shared_dropped`).
-    pub share_ring_cap: usize,
-}
-
-impl ShareConfig {
-    /// Sharing disabled (the default; bit-identical to PR 4 behaviour).
-    pub fn off() -> ShareConfig {
-        ShareConfig {
-            enabled: false,
-            ..ShareConfig::on()
-        }
-    }
-
-    /// Sharing enabled with the default thresholds.
-    pub fn on() -> ShareConfig {
-        ShareConfig {
-            enabled: true,
-            share_lbd_max: 6,
-            share_len_max: 24,
-            share_ring_cap: 4096,
-        }
-    }
-}
-
-impl Default for ShareConfig {
-    fn default() -> ShareConfig {
-        ShareConfig::off()
     }
 }
 
@@ -220,28 +159,17 @@ impl Default for DurabilityPolicy {
     }
 }
 
-/// Configuration of the parallel engine.
-#[derive(Debug, Clone)]
+/// Configuration of the engine.
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// The underlying mapper configuration (variant 0 of the portfolio
-    /// runs it verbatim — the agreement anchor with the sequential
-    /// mapper).
+    /// The underlying mapper configuration, run verbatim.
     pub mapper: MapperConfig,
-    /// Which exact backend(s) to race (SAT ladder by default; see
+    /// Which exact backend climbs the ladder (SAT by default; see
     /// [`BackendKind`]).
     pub backend: BackendKind,
-    /// How many candidate IIs are raced concurrently (the sliding window
-    /// above the lowest unresolved II). `1` disables speculation across
-    /// IIs.
-    pub race_width: usize,
-    /// Solver-portfolio variants raced per II. `1` disables the
-    /// portfolio; variant 0 is always the canonical configuration.
-    pub portfolio: usize,
-    /// Worker threads. `0` means one per available hardware thread.
+    /// How many jobs [`Engine::map_batch`] runs at once. `0` means one
+    /// per available hardware thread. A single solve is sequential.
     pub workers: usize,
-    /// Learnt-clause sharing between portfolio siblings (off by
-    /// default).
-    pub share: ShareConfig,
     /// Result-cache eviction bounds and incremental store compaction
     /// cadence (unbounded cache, compaction every 256 appends by
     /// default). Never part of a fingerprint.
@@ -251,28 +179,12 @@ pub struct EngineConfig {
     /// part of a fingerprint — durability changes when bytes hit disk,
     /// not what any solve returns.
     pub durability: DurabilityPolicy,
-    /// Test-only fault injection: race workers panic while attempting a
+    /// Test-only fault injection: [`solve`] panics while attempting a
     /// DFG with exactly this name, exercising the engine's
     /// panic-isolation path. `None` (always, outside tests) is
     /// free of overhead.
     #[doc(hidden)]
     pub panic_on_name: Option<String>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            mapper: MapperConfig::default(),
-            backend: BackendKind::default(),
-            race_width: 4,
-            portfolio: 1,
-            workers: 0,
-            share: ShareConfig::off(),
-            lifecycle: CacheLifecycle::default(),
-            durability: DurabilityPolicy::default(),
-            panic_on_name: None,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -323,40 +235,27 @@ mod tests {
     }
 
     #[test]
-    fn race_matches_sequential_on_simple_chain() {
+    fn solve_matches_sequential_on_simple_chain() {
         let dfg = chain(4);
         let cgra = Cgra::square(2);
         let sequential = map(&dfg, &cgra);
-        let raced = map_raced(&dfg, &cgra, &EngineConfig::default());
-        assert_eq!(raced.ii(), sequential.ii());
-        assert_eq!(raced.ii(), Some(1));
+        let solved = solve(&dfg, &cgra, &EngineConfig::default(), None);
+        assert_eq!(solved.ii(), sequential.ii());
+        assert_eq!(solved.ii(), Some(1));
     }
 
     #[test]
-    fn race_matches_sequential_through_unsat_prefix() {
+    fn solve_matches_sequential_through_unsat_prefix() {
         let dfg = recurrence();
         let cgra = Cgra::square(1);
         let sequential = map(&dfg, &cgra);
-        let raced = map_raced(&dfg, &cgra, &EngineConfig::default());
-        assert_eq!(raced.ii(), sequential.ii());
-        assert_eq!(raced.ii(), Some(3));
+        let solved = solve(&dfg, &cgra, &EngineConfig::default(), None);
+        assert_eq!(solved.ii(), sequential.ii());
+        assert_eq!(solved.ii(), Some(3));
         // The trace must show the same definitive attempts, in order.
         let seq_iis: Vec<u32> = sequential.attempts.iter().map(|a| a.ii).collect();
-        let race_iis: Vec<u32> = raced.outcome.attempts.iter().map(|a| a.ii).collect();
-        assert_eq!(race_iis, seq_iis);
-    }
-
-    #[test]
-    fn portfolio_race_still_agrees() {
-        let dfg = recurrence();
-        let cgra = Cgra::square(1);
-        let config = EngineConfig {
-            portfolio: 3,
-            race_width: 2,
-            ..EngineConfig::default()
-        };
-        let raced = map_raced(&dfg, &cgra, &config);
-        assert_eq!(raced.ii(), Some(3));
+        let solve_iis: Vec<u32> = solved.outcome.attempts.iter().map(|a| a.ii).collect();
+        assert_eq!(solve_iis, seq_iis);
     }
 
     #[test]
@@ -371,21 +270,21 @@ mod tests {
             mapper,
             ..EngineConfig::default()
         };
-        let raced = map_raced(&dfg, &cgra, &config);
+        let solved = solve(&dfg, &cgra, &config, None);
         assert_eq!(
-            raced.outcome.result.unwrap_err(),
+            solved.outcome.result.unwrap_err(),
             MapFailure::IiCapReached { cap: 3 }
         );
-        assert!(raced.outcome.attempts.is_empty());
+        assert!(solved.outcome.attempts.is_empty());
     }
 
     #[test]
     fn invalid_dfg_fails_fast() {
         let mut dfg = Dfg::new("bad");
         let _ = dfg.add_node(Op::Add); // Add with no operands
-        let raced = map_raced(&dfg, &Cgra::square(2), &EngineConfig::default());
+        let solved = solve(&dfg, &Cgra::square(2), &EngineConfig::default(), None);
         assert!(matches!(
-            raced.outcome.result,
+            solved.outcome.result,
             Err(MapFailure::InvalidDfg(_))
         ));
     }
@@ -402,9 +301,9 @@ mod tests {
             mapper,
             ..EngineConfig::default()
         };
-        let raced = map_raced(&dfg, &cgra, &config);
+        let solved = solve(&dfg, &cgra, &config, None);
         assert!(matches!(
-            raced.outcome.result,
+            solved.outcome.result,
             Err(MapFailure::Timeout { .. })
         ));
     }
@@ -412,10 +311,10 @@ mod tests {
     #[test]
     fn winning_attempt_is_last_and_mapped() {
         let dfg = recurrence();
-        let raced = map_raced(&dfg, &Cgra::square(1), &EngineConfig::default());
-        let last = raced.outcome.attempts.last().expect("has attempts");
+        let solved = solve(&dfg, &Cgra::square(1), &EngineConfig::default(), None);
+        let last = solved.outcome.attempts.last().expect("has attempts");
         assert_eq!(last.outcome, AttemptOutcome::Mapped);
-        assert_eq!(Some(last.ii), raced.ii());
+        assert_eq!(Some(last.ii), solved.ii());
     }
 
     #[test]
@@ -523,7 +422,7 @@ mod tests {
         (dfg, cgra)
     }
 
-    /// A fanout that forces the race through several UNSAT rungs: one
+    /// A fanout that forces the climb through several UNSAT rungs: one
     /// producer with 5 consumers on a 1x2 row (MII 3, maps well above it).
     fn fanout() -> (Dfg, Cgra) {
         let mut dfg = Dfg::new("fan5");
@@ -536,18 +435,18 @@ mod tests {
     }
 
     #[test]
-    fn race_consumes_unmappable_core() {
+    fn solve_consumes_unmappable_core() {
         let (dfg, cgra) = split_unmappable();
-        let raced = map_raced(&dfg, &cgra, &EngineConfig::default());
+        let solved = solve(&dfg, &cgra, &EngineConfig::default(), None);
         assert_eq!(
-            raced.outcome.result.unwrap_err(),
+            solved.outcome.result.unwrap_err(),
             MapFailure::IiCapReached { cap: 50 }
         );
-        assert!(raced.proven_unmappable, "core avoids the per-II group");
+        assert!(solved.proven_unmappable, "core avoids the per-II group");
         assert!(
-            raced.stats.tasks_started < 50,
-            "the doomed ladder must not be ground out rung by rung ({} tasks)",
-            raced.stats.tasks_started
+            solved.stats.tasks_started < 50,
+            "the doomed ladder must not be ground out rung by rung ({} rungs)",
+            solved.stats.tasks_started
         );
         // Agreement: the sequential incremental ladder reaches the same
         // verdict.
@@ -559,10 +458,10 @@ mod tests {
     }
 
     #[test]
-    fn proven_bound_lets_repeat_races_skip_closed_rungs() {
+    fn proven_bound_lets_repeat_solves_skip_closed_rungs() {
         let (dfg, cgra) = fanout();
         let config = EngineConfig::default();
-        let cold = map_raced(&dfg, &cgra, &config);
+        let cold = solve(&dfg, &cgra, &config, None);
         let best = cold.ii().expect("fanout maps eventually");
         let sequential = map(&dfg, &cgra);
         assert_eq!(Some(best), sequential.ii(), "agreement first");
@@ -575,20 +474,12 @@ mod tests {
                 .map(|a| a.ii)
                 .collect::<Vec<_>>()
         );
-        // Feed the proven bound back: the race starts at the winner
+        // Feed the proven bound back: the climb starts at the winner
         // directly and answers with a single rung.
-        let warm = race::map_raced_with_bound(&dfg, &cgra, &config, Some(best));
+        let warm = solve(&dfg, &cgra, &config, Some(best));
         assert_eq!(warm.ii(), Some(best));
         assert_eq!(warm.outcome.attempts.len(), 1, "lower rungs skipped");
         assert_eq!(warm.stats.race_start, best);
-        // An unmappability bound short-circuits without solving at all.
-        let doomed = race::map_raced_with_bound(&dfg, &cgra, &config, Some(u32::MAX));
-        assert_eq!(
-            doomed.outcome.result.unwrap_err(),
-            MapFailure::IiCapReached { cap: 50 }
-        );
-        assert!(doomed.proven_unmappable);
-        assert_eq!(doomed.stats.tasks_started, 0);
     }
 
     #[test]
@@ -619,64 +510,20 @@ mod tests {
     }
 
     #[test]
-    fn share_on_portfolio_race_agrees_with_sequential() {
-        // Sharing only changes *which* clauses each sibling knows; the
-        // closure rules (variant 0 or a sound UNSAT proof) are untouched,
-        // so the best II must match the sequential mapper's exactly.
-        let dfg = recurrence();
-        let cgra = Cgra::square(1);
-        let sequential = map(&dfg, &cgra);
-        let config = EngineConfig {
-            portfolio: 3,
-            race_width: 2,
-            share: ShareConfig::on(),
-            ..EngineConfig::default()
-        };
-        let raced = map_raced(&dfg, &cgra, &config);
-        assert_eq!(raced.ii(), sequential.ii());
-        assert_eq!(raced.ii(), Some(3));
-
-        let (fan_dfg, fan_cgra) = fanout();
-        let raced = map_raced(&fan_dfg, &fan_cgra, &config);
-        assert_eq!(raced.ii(), map(&fan_dfg, &fan_cgra).ii());
-    }
-
-    #[test]
-    fn share_off_and_single_variant_races_allocate_no_pools() {
-        // With sharing off — or a portfolio of one — the race must stay on
-        // the handle-free hot path: zero share traffic in the telemetry.
-        let dfg = recurrence();
-        let cgra = Cgra::square(1);
-        for config in [
-            EngineConfig::default(),
-            EngineConfig {
-                portfolio: 3,
-                share: ShareConfig::off(),
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                portfolio: 1,
-                share: ShareConfig::on(),
-                ..EngineConfig::default()
-            },
-        ] {
-            let raced = map_raced(&dfg, &cgra, &config);
-            assert_eq!(raced.ii(), Some(3));
-            assert_eq!(raced.stats.shared_exported, 0);
-            assert_eq!(raced.stats.shared_imported, 0);
-            assert_eq!(raced.stats.shared_dropped, 0);
+    fn bounds_past_the_cap_answer_without_preparing_a_rung() {
+        let (dfg, cgra) = fanout();
+        let config = EngineConfig::default();
+        let cap = config.mapper.max_ii;
+        for (bound, unmappable) in [(cap + 1, false), (u32::MAX, true)] {
+            let outcome = solve(&dfg, &cgra, &config, Some(bound));
+            assert_eq!(
+                outcome.outcome.result.unwrap_err(),
+                MapFailure::IiCapReached { cap },
+                "bound {bound}"
+            );
+            assert_eq!(outcome.proven_unmappable, unmappable, "bound {bound}");
+            assert!(outcome.outcome.attempts.is_empty(), "bound {bound}");
+            assert_eq!(outcome.stats, RaceStats::default(), "bound {bound}");
         }
-    }
-
-    #[test]
-    fn single_worker_race_still_resolves() {
-        let config = EngineConfig {
-            workers: 1,
-            race_width: 1,
-            ..EngineConfig::default()
-        };
-        let raced = map_raced(&recurrence(), &Cgra::square(1), &config);
-        assert_eq!(raced.ii(), Some(3));
-        assert_eq!(raced.stats.workers, 1);
     }
 }

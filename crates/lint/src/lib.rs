@@ -59,7 +59,7 @@ pub const LINTS: &[(&str, &str)] = &[
     ),
     (
         "fingerprint-completeness",
-        "every EngineConfig/ShareConfig/SolverOptions/MapperConfig field joins the result \
+        "every EngineConfig/SolverOptions/MapperConfig field joins the result \
          fingerprint or carries a written exemption",
     ),
     (

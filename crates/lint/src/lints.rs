@@ -10,12 +10,7 @@ pub const EXEMPTIONS_PATH: &str = "crates/lint/fingerprint_exemptions.txt";
 
 /// The config structs whose every field must join the result
 /// fingerprint (or be exempted in writing).
-const FINGERPRINTED_STRUCTS: &[&str] = &[
-    "EngineConfig",
-    "ShareConfig",
-    "SolverOptions",
-    "MapperConfig",
-];
+const FINGERPRINTED_STRUCTS: &[&str] = &["EngineConfig", "SolverOptions", "MapperConfig"];
 
 /// Where the fingerprint lives.
 const FINGERPRINT_FILE: &str = "crates/engine/src/fingerprint.rs";

@@ -3,8 +3,8 @@
 //! The monomorphism mapper: an exact, space/time-decoupled CGRA
 //! modulo-scheduling backend in the style of Tirelli & Otoni,
 //! *"Monomorphism-based CGRA Mapping via Space and Time Decoupling"* —
-//! the second [`Backend`] of the workspace, raced against the SAT ladder
-//! by `satmapit-engine`.
+//! the second [`Backend`] of the workspace, selectable in
+//! `satmapit-engine` in place of the SAT ladder.
 //!
 //! ## Approach
 //!
@@ -28,7 +28,8 @@
 //! candidate slots of unassigned nodes on every assignment, pick the
 //! most-constrained node next, and undo through a trail. Exhausting the
 //! space **proves** the II infeasible (the report's `Unsat` is a real
-//! proof the engine may exchange with the SAT backend as a bound);
+//! proof the engine may record as a bound the SAT backend later starts
+//! above);
 //! register-allocation failures are retried up to
 //! [`MapperConfig::ra_cuts`] embeddings, after which the II is declared
 //! `RegAllocFailed` — definitive, but not a proof, mirroring the SAT
@@ -39,7 +40,7 @@
 //! Attempts honor [`SolveLimits`] with the same cadence as the SAT
 //! core: the stop flag and deadline are polled every
 //! [`satmapit_sat::LIMIT_POLL_INTERVAL`] search steps (assignments and
-//! dead-ends both count), so a race can cancel a morph attempt as
+//! dead-ends both count), so a caller can cancel a morph attempt as
 //! promptly as a SAT one.
 
 #![forbid(unsafe_code)]
@@ -221,8 +222,7 @@ impl<'a> PreparedMorph<'a> {
     /// internal inconsistency, or the deadline in `limits` expiring;
     /// cooperative cancellation comes back as an `Ok` report with
     /// `SolverBudget(Cancelled)`. `limits.max_conflicts` bounds search
-    /// dead-ends (the closest analogue of CDCL conflicts);
-    /// `limits.share` has no meaning here and is ignored.
+    /// dead-ends (the closest analogue of CDCL conflicts).
     ///
     /// # Errors
     ///

@@ -10,7 +10,7 @@
 //!   held), timestamped against one process-wide monotonic epoch.
 //!   [`trace::drain`] collects every thread's ring and
 //!   [`trace::export_chrome`] renders the result in Chrome
-//!   `trace_event` JSON, so a portfolio II-race opens as a real
+//!   `trace_event` JSON, so a batch of ladders opens as a real
 //!   timeline in Perfetto / `chrome://tracing`. Tracing is **off by
 //!   default and zero-cost while off**: recording is a single relaxed
 //!   atomic load, no ring is allocated, and nothing about enabling it

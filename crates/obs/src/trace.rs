@@ -12,11 +12,8 @@
 //! is ever taken, and nothing is shared between recording threads.
 //!
 //! Every span carries a **track** (the `tid` of the exported trace):
-//! by default each thread gets a unique track, but a scope can override
-//! it with [`push_track`] — the race engine gives every portfolio
-//! sibling its own track, so rung spans from concurrent siblings render
-//! as parallel timeline rows in Perfetto. [`allocate_tracks`] reserves
-//! a contiguous block of track ids; [`name_track`] labels them.
+//! each recording thread gets a unique one, so concurrent solves render
+//! as parallel timeline rows in Perfetto.
 //!
 //! ## Cost when disabled
 //!
@@ -44,8 +41,6 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 /// Every thread's ring, so [`drain`] can collect spans recorded by
 /// threads that have since exited (the `Arc` keeps the ring alive).
 static REGISTRY: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
-/// Human labels for track ids, rendered as `thread_name` metadata.
-static TRACK_NAMES: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
 
 thread_local! {
     static LOCAL_RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
@@ -97,12 +92,8 @@ pub enum Category {
     Ladder,
     /// One rung: a single-II solve attempt, with `SolverStats` deltas.
     Rung,
-    /// A race task: one (II, portfolio-variant) attempt on a sibling.
-    Race,
     /// Clause-arena garbage collection observed during a rung.
     Gc,
-    /// Portfolio clause-sharing traffic observed during a rung.
-    Share,
     /// Cache probes and persistent-store appends in the batch engine.
     Persist,
     /// One daemon request, queue wait included.
@@ -115,9 +106,7 @@ impl Category {
         match self {
             Category::Ladder => "ladder",
             Category::Rung => "rung",
-            Category::Race => "race",
             Category::Gc => "gc",
-            Category::Share => "share",
             Category::Persist => "persist",
             Category::Request => "request",
         }
@@ -193,46 +182,6 @@ pub fn current_track() -> u64 {
             id
         }
     })
-}
-
-/// Reserves `n` consecutive track ids and returns the first — the race
-/// engine maps portfolio sibling `k` to `base + k` so each sibling gets
-/// a stable timeline row.
-pub fn allocate_tracks(n: u64) -> u64 {
-    // ordering: unique-id ticket; only atomicity matters.
-    NEXT_TRACK.fetch_add(n.max(1), Ordering::Relaxed)
-}
-
-/// Restores the previous track when dropped (see [`push_track`]).
-pub struct TrackGuard {
-    prev: u64,
-}
-
-/// Overrides the current thread's track until the guard drops. Spans
-/// begun inside the scope are exported on `track`.
-pub fn push_track(track: u64) -> TrackGuard {
-    let prev = LOCAL_TRACK.with(|t| t.replace(track));
-    TrackGuard { prev }
-}
-
-impl Drop for TrackGuard {
-    fn drop(&mut self) {
-        LOCAL_TRACK.with(|t| t.set(self.prev));
-    }
-}
-
-/// Labels `track` in the exported trace (`thread_name` metadata).
-/// Last writer wins; a no-op while tracing is disabled.
-pub fn name_track(track: u64, name: &str) {
-    if !enabled() {
-        return;
-    }
-    let mut names = lock(&TRACK_NAMES);
-    if let Some(entry) = names.iter_mut().find(|(id, _)| *id == track) {
-        entry.1 = name.to_string();
-    } else {
-        names.push((track, name.to_string()));
-    }
 }
 
 struct SpanInner {
@@ -384,19 +333,11 @@ pub fn export_chrome(events: &[Event]) -> String {
     let mut tracks: Vec<u64> = events.iter().map(|e| e.track).collect();
     tracks.sort_unstable();
     tracks.dedup();
-    let names = lock(&TRACK_NAMES).clone();
     for track in tracks {
-        let label = names
-            .iter()
-            .find(|(id, _)| *id == track)
-            .map(|(_, name)| name.clone())
-            .unwrap_or_else(|| format!("track {track}"));
         emit(&mut out, &mut first);
         out.push_str(&format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{track},\"name\":\"thread_name\",\"args\":{{\"name\":\""
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{track},\"name\":\"thread_name\",\"args\":{{\"name\":\"track {track}\"}}}}"
         ));
-        escape_json(&label, &mut out);
-        out.push_str("\"}}");
     }
 
     for event in events {
@@ -462,8 +403,7 @@ mod tests {
         set_enabled(true);
         drain();
         std::thread::spawn(|| {
-            let _track = push_track(allocate_tracks(1));
-            let mut span = Span::begin(Category::Race, "attempt ii=3 v=1");
+            let mut span = Span::begin(Category::Rung, "attempt ii=3 v=1");
             span.arg("ii", 3);
             span.arg_str("outcome", "mapped \"quoted\"");
         })
@@ -476,7 +416,7 @@ mod tests {
             .filter(|e| e.name == "attempt ii=3 v=1")
             .collect();
         assert_eq!(ours.len(), 1);
-        assert_eq!(ours[0].cat, Category::Race);
+        assert_eq!(ours[0].cat, Category::Rung);
         let json = export_chrome(&events);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\\\"quoted\\\""));

@@ -336,27 +336,6 @@ mod tests {
         assert_eq!(lens, [2, 0, 2]);
     }
 
-    /// The share-pool compatibility class hashes the variable count and
-    /// the clauses in order; the values are the ones the nested-`Vec`
-    /// store (the commit before the flat one) computed for these formulas.
-    #[test]
-    fn formula_class_is_unchanged_by_the_flat_layout() {
-        use crate::encode::{at_most_k, exactly_one, AmoEncoding};
-        use crate::share::formula_class;
-        assert_eq!(formula_class(&awkward()), 0x8008_7dc6_933e_c320);
-
-        let mut f = CnfFormula::new();
-        let first = f.new_vars(8).index() as u32;
-        let lits: Vec<Lit> = (0..8).map(|i| Var::new(first + i).positive()).collect();
-        exactly_one(&mut f, &lits, AmoEncoding::Sequential);
-        at_most_k(&mut f, &lits[2..], 2);
-        assert_eq!(
-            (f.num_vars(), f.num_clauses(), f.num_literals()),
-            (25, 44, 97)
-        );
-        assert_eq!(formula_class(&f), 0xbfde_afde_f058_1e1a);
-    }
-
     #[test]
     fn dimacs_parses_comments_and_header() {
         let text = "c a comment\np cnf 3 2\n1 -2 0\n3 0\n";

@@ -19,11 +19,8 @@
 //! * [`encode`] — cardinality encodings (pairwise / sequential
 //!   at-most-one, sequential-counter at-most-k) used by the mapper's C1/C2
 //!   constraint families,
-//! * [`share`] — learnt-clause exchange between portfolio siblings
-//!   (bounded per-race pools, per-sibling cursors, compatibility-class
-//!   and activation-guard filtering),
 //! * [`mod@counters`] — the declare-once table behind [`SolverStats`] (and the
-//!   engine's race and cache statistics): deltas, folds, persistence and
+//!   engine's solve and cache statistics): deltas, folds, persistence and
 //!   reporting all walk it,
 //! * [`brute`] — an exhaustive oracle used by the property-test suite.
 //!
@@ -56,14 +53,12 @@ pub mod counters;
 pub mod encode;
 mod heap;
 mod luby;
-pub mod share;
 mod solver;
 mod types;
 
 pub use cnf::{CnfFormula, ParseDimacsError, ParseDimacsErrorKind};
 pub use counters::{CounterKind, Counters};
 pub use luby::luby;
-pub use share::{formula_class, ShareHandle, SharePool, SharePoolStats};
 pub use solver::{
     SolveLimits, SolveResult, Solver, SolverOptions, SolverStats, StopReason, LIMIT_POLL_INTERVAL,
 };

@@ -55,7 +55,6 @@ use crate::arena::{ClauseArena, ClauseRef};
 use crate::cnf::CnfFormula;
 use crate::heap::ActivityHeap;
 use crate::luby::luby;
-use crate::share::ShareHandle;
 use crate::types::{LBool, Lit, Var};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,13 +118,12 @@ crate::counters! {
         arena_wasted: gauge,
         /// Total arena words currently allocated (live + wasted) — a gauge.
         arena_words: gauge,
-        /// Learnt clauses this solver published to its portfolio share
-        /// pool (0 without a connected [`ShareHandle`]).
+        /// Retired with learnt-clause sharing (PR 24), always 0: the table
+        /// is append-only and persisted by position, so the slot stays.
         shared_exported: sum,
-        /// Clauses imported from portfolio siblings at restart boundaries.
+        /// Retired likewise, always 0.
         shared_imported: sum,
-        /// Ring evictions this solver's exports caused in the share pool
-        /// (clauses overwritten before every sibling could read them).
+        /// Retired likewise, always 0.
         shared_dropped: sum,
     }
 }
@@ -138,19 +136,12 @@ pub struct SolveLimits {
     /// Abort once `Instant::now()` passes this deadline.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation: abort as soon as the flag reads `true`.
-    /// Another thread may set it at any time (e.g. because a sibling in a
-    /// portfolio or II-race already produced an answer); the solver polls
+    /// Another thread may set it at any time; the solver polls
     /// it (together with the deadline) at every restart and on a uniform
     /// cadence of [`LIMIT_POLL_INTERVAL`] search steps — decisions *and*
     /// conflicts both count — so cancellation is observed promptly even in
     /// propagation-heavy solves that rarely branch.
     pub stop: Option<Arc<AtomicBool>>,
-    /// Learnt-clause sharing with portfolio siblings. Pure transport: the
-    /// handle only takes effect once a caller wires it into the solver
-    /// with [`Solver::connect_share`] (the mapper's `attempt_ii` does
-    /// this, tagging the connection with the compatibility class of the
-    /// formula it encoded — see [`crate::share`]).
-    pub share: Option<ShareHandle>,
 }
 
 impl SolveLimits {
@@ -180,13 +171,6 @@ impl SolveLimits {
     /// Limits with a cooperative stop flag (shared with other threads).
     pub fn with_stop_flag(mut self, stop: Arc<AtomicBool>) -> SolveLimits {
         self.stop = Some(stop);
-        self
-    }
-
-    /// Limits carrying a learnt-clause share handle (see
-    /// [`SolveLimits::share`]).
-    pub fn with_share(mut self, share: ShareHandle) -> SolveLimits {
-        self.share = Some(share);
         self
     }
 
@@ -244,8 +228,8 @@ enum SearchOutcome {
     Stop(StopReason),
 }
 
-/// Tunables that diversify solver behaviour without affecting soundness —
-/// the knobs a portfolio races (see `satmapit-engine`).
+/// Tunables that steer the search order without affecting soundness
+/// (both join the engine's result-cache key).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverOptions {
     /// Base of the Luby restart sequence, in conflicts (default 100).
@@ -311,31 +295,9 @@ pub struct Solver {
     /// Live clause groups: activation variable index → member clause
     /// refs (see the module docs on the activation-literal lifecycle).
     groups: std::collections::HashMap<u32, Vec<ClauseRef>>,
-    /// `is_activation[v]` marks variables allocated by [`Solver::new_group`]
-    /// (live *or* retired): clauses mentioning them are gated and must not
-    /// be exported to portfolio siblings (see [`crate::share`]).
-    is_activation: Vec<bool>,
-    /// `true` once any activation variable exists — lets the export hot
-    /// path skip the per-literal guard scan entirely for scratch solvers.
-    any_activation: bool,
-    /// Learnt-clause exchange with portfolio siblings, once connected.
-    share: Option<ShareConn>,
     /// Scratch literal buffer of the clause-adding paths, kept so that no
     /// clause added or loaded pays for an allocation of its own.
     add_buf: Vec<Lit>,
-}
-
-/// A live share connection (see [`Solver::connect_share`]).
-#[derive(Debug)]
-struct ShareConn {
-    handle: ShareHandle,
-    /// Compatibility class of the formula this solver was loaded with.
-    class: u64,
-    /// Exports stop permanently once the solver adds any clause beyond
-    /// the class formula (e.g. register-allocation cuts): lemmas derived
-    /// after that point are no longer implied by what siblings share.
-    /// Imports stay on — receiving sound clauses is always safe.
-    export_ok: bool,
 }
 
 impl Default for Solver {
@@ -373,14 +335,11 @@ impl Solver {
             restart_base: DEFAULT_RESTART_BASE,
             phase_rng: None,
             groups: std::collections::HashMap::new(),
-            is_activation: Vec::new(),
-            any_activation: false,
-            share: None,
             add_buf: Vec::new(),
         }
     }
 
-    /// Creates an empty solver with the given portfolio options.
+    /// Creates an empty solver with the given options.
     pub fn with_options(options: &SolverOptions) -> Solver {
         let mut solver = Solver::new();
         solver.restart_base = options.restart_base.max(1);
@@ -417,6 +376,13 @@ impl Solver {
         if n <= old {
             return;
         }
+        // The watch lists first: at 48 bytes a variable they outweigh the
+        // other arrays here together (20), so when growth has to move
+        // them, the block they vacate takes the smaller arrays' new
+        // blocks. Grown last, they landed on top of those and every
+        // vacated block stayed a hole: a live ladder over `patricia` 4x4
+        // peaked at 41–43 MiB resident instead of 40.
+        self.watches.resize_with(2 * n, Vec::new);
         self.assigns.resize(n, LBool::Undef);
         self.decision.resize(n, true);
         match &mut self.phase_rng {
@@ -433,8 +399,6 @@ impl Solver {
         self.reason.resize(n, ClauseRef::NONE);
         self.level.resize(n, 0);
         self.seen.resize(n, false);
-        self.is_activation.resize(n, false);
-        self.watches.resize_with(2 * n, Vec::new);
         self.order.append_cold(old as u32..n as u32);
     }
 
@@ -470,7 +434,6 @@ impl Solver {
         if !self.ok {
             return (false, None);
         }
-        self.forbid_exports();
         let mut buf = std::mem::take(&mut self.add_buf);
         buf.clear();
         buf.extend_from_slice(lits);
@@ -507,7 +470,6 @@ impl Solver {
         if !self.ok || formula.num_clauses() == 0 {
             return self.ok;
         }
-        self.forbid_exports();
         debug_assert!(
             group.is_none_or(Lit::is_positive),
             "activation literals are positive by convention"
@@ -543,16 +505,6 @@ impl Solver {
             self.groups.insert(g.var().index() as u32, members);
         }
         self.ok
-    }
-
-    /// Any clause added after a share connection was opened is local to
-    /// this solver (e.g. a register-allocation cut): later learnt clauses
-    /// may depend on it, so exporting them to siblings — which only share
-    /// the original formula — would be unsound.
-    fn forbid_exports(&mut self) {
-        if let Some(conn) = &mut self.share {
-            conn.export_ok = false;
-        }
     }
 
     /// Sorts `ls`, merges duplicate literals and drops the literals false
@@ -641,10 +593,7 @@ impl Solver {
     /// [`Solver::solve_limited`]. See the module docs for the full
     /// lifecycle and soundness argument.
     pub fn new_group(&mut self) -> Lit {
-        let g = self.new_var();
-        self.is_activation[g.index()] = true;
-        self.any_activation = true;
-        g.positive()
+        self.new_var().positive()
     }
 
     /// Adds `lits` to the group of activation literal `group`: the stored
@@ -735,14 +684,6 @@ impl Solver {
             self.ok = false;
             return SolveResult::Unsat;
         }
-        // Pick up everything siblings published since the last solve (or
-        // restart) before searching. An import can already close the case:
-        // the empty final conflict below is correct — the permanent set is
-        // contradictory independent of any assumptions.
-        self.import_shared();
-        if !self.ok {
-            return SolveResult::Unsat;
-        }
         let start_conflicts = self.stats.conflicts;
         let mut restarts = 0u64;
         loop {
@@ -775,12 +716,6 @@ impl Solver {
                     self.cancel_until(0);
                     restarts += 1;
                     self.stats.restarts += 1;
-                    // Restart boundary: back at level 0, inject sibling
-                    // clauses before the next descent.
-                    self.import_shared();
-                    if !self.ok {
-                        return SolveResult::Unsat;
-                    }
                 }
             }
         }
@@ -1256,111 +1191,6 @@ impl Solver {
         }
     }
 
-    // ----------------------------------------------------------------- //
-    // Portfolio learnt-clause sharing (see the `share` module docs)
-    // ----------------------------------------------------------------- //
-
-    /// Connects this solver to a portfolio share pool.
-    ///
-    /// `class` must be the compatibility class of the formula currently
-    /// loaded (callers compute it with [`crate::share::formula_class`]
-    /// over the CNF they fed the solver): imports only accept clauses of
-    /// the same class, which fences off siblings whose encodings allocate
-    /// variables differently. After connecting:
-    ///
-    /// * every conflict whose learnt clause passes the handle's LBD/size
-    ///   thresholds — and carries no group activation literal — is
-    ///   published to the pool;
-    /// * at every restart boundary (and at the start of each solve call)
-    ///   the solver drains clauses published by its siblings and injects
-    ///   them as ordinary learnt arena records, subject to the usual
-    ///   learnt-database reduction.
-    ///
-    /// Adding any clause after connecting (register-allocation cuts,
-    /// group retirements) permanently disables *exports* — see
-    /// [`crate::share`] for the soundness argument. Connecting again
-    /// replaces the previous connection.
-    pub fn connect_share(&mut self, handle: ShareHandle, class: u64) {
-        self.share = Some(ShareConn {
-            handle,
-            class,
-            export_ok: true,
-        });
-    }
-
-    /// Publishes a freshly learnt clause to the share pool when a
-    /// connection is live, exports are still sound, the clause passes the
-    /// thresholds, and it is guard-free.
-    fn maybe_export(&mut self, learnt: &[Lit], lbd: u32) {
-        let Some(conn) = &self.share else {
-            return;
-        };
-        if !conn.export_ok || lbd > conn.handle.lbd_max() || learnt.len() > conn.handle.max_len() {
-            return;
-        }
-        if self.any_activation && learnt.iter().any(|l| self.is_activation[l.var().index()]) {
-            return; // gated lemma: only valid with this solver's groups
-        }
-        let dropped = conn.handle.export(conn.class, lbd, learnt);
-        self.stats.shared_exported += 1;
-        self.stats.shared_dropped += dropped;
-    }
-
-    /// Drains the share pool and injects every new sibling clause as a
-    /// learnt arena record. Must be called at decision level 0 (solve
-    /// start and restart boundaries). May discover top-level
-    /// unsatisfiability (`self.ok` turns false).
-    fn import_shared(&mut self) {
-        let Some(conn) = &self.share else {
-            return;
-        };
-        debug_assert_eq!(self.decision_level(), 0);
-        let handle = conn.handle.clone();
-        let class = conn.class;
-        let mut batch: Vec<(u32, std::sync::Arc<[Lit]>)> = Vec::new();
-        handle.import(class, &mut batch);
-        for (lbd, lits) in batch {
-            if !self.ok {
-                break;
-            }
-            // Same class means same variable space, but stay defensive:
-            // a clause mentioning an unknown variable is dropped, not
-            // trusted.
-            if lits.iter().any(|l| l.var().index() >= self.num_vars()) {
-                continue;
-            }
-            self.stats.shared_imported += 1;
-            self.add_imported_clause(&lits, lbd);
-        }
-    }
-
-    /// Installs one imported clause as a learnt record: simplified
-    /// against the top level, enqueued if unit, attached if longer.
-    /// Mirrors [`Solver::add_lits`] except the clause is stored as
-    /// *learnt* (so database reduction can evict it) and is never
-    /// re-exported or counted as a problem clause.
-    fn add_imported_clause(&mut self, lits: &[Lit], lbd: u32) {
-        let mut ls = std::mem::take(&mut self.add_buf);
-        ls.clear();
-        ls.extend_from_slice(lits);
-        // A redundant clause (defensively also a tautology; conflicts
-        // never learn these) is dropped.
-        if self.simplify_at_top(&mut ls) {
-            match ls.len() {
-                0 => self.ok = false,
-                1 => {
-                    self.unchecked_enqueue(ls[0], ClauseRef::NONE);
-                    self.ok = self.propagate().is_none();
-                }
-                len => {
-                    let ci = self.alloc_clause(&ls, true, lbd.clamp(1, len as u32));
-                    self.attach_clause(ci);
-                }
-            }
-        }
-        self.add_buf = ls;
-    }
-
     /// Excludes `var` from (or re-admits it to) branching decisions.
     ///
     /// A non-decision variable is still assigned by unit propagation, but
@@ -1431,7 +1261,6 @@ impl Solver {
                     // which the outer loop handles via restart semantics.
                 }
                 let (learnt, bt_level, lbd) = self.analyze(confl);
-                self.maybe_export(&learnt, lbd);
                 let bt_level = bt_level.min(self.decision_level() - 1);
                 self.cancel_until(bt_level);
                 if learnt.len() == 1 {
@@ -1656,7 +1485,6 @@ mod tests {
             max_conflicts: None,
             deadline: Some(Instant::now()),
             stop: None,
-            share: None,
         };
         // The check happens every 256 conflicts, so this returns quickly.
         let r = s.solve_limited(&[], &limits);
@@ -1725,7 +1553,7 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_options_do_not_change_answers() {
+    fn solver_options_do_not_change_answers() {
         let mut sat_formula = crate::cnf::CnfFormula::new();
         let lits: Vec<Lit> = (0..6).map(|_| sat_formula.new_var().positive()).collect();
         for w in lits.windows(2) {
@@ -2016,159 +1844,6 @@ mod tests {
         assert!(s.stats().conflicts > 0);
         assert!(s.stats().decisions > 0);
         assert!(s.stats().propagations > 0);
-    }
-
-    /// PHP(n+1, n) as a reusable CNF, for the sharing tests below.
-    fn pigeonhole_cnf(holes: usize) -> crate::cnf::CnfFormula {
-        let pigeons = holes + 1;
-        let mut f = crate::cnf::CnfFormula::new();
-        let mut var = vec![vec![Lit::from_code(0); holes]; pigeons];
-        for p in 0..pigeons {
-            for h in 0..holes {
-                var[p][h] = f.new_var().positive();
-            }
-        }
-        for p in 0..pigeons {
-            let clause: Vec<Lit> = (0..holes).map(|h| var[p][h]).collect();
-            f.add_clause(&clause);
-        }
-        for h in 0..holes {
-            for p1 in 0..pigeons {
-                for p2 in (p1 + 1)..pigeons {
-                    f.add_clause(&[!var[p1][h], !var[p2][h]]);
-                }
-            }
-        }
-        f
-    }
-
-    #[test]
-    fn sibling_clauses_transfer_through_the_share_pool() {
-        use crate::share::{formula_class, ShareHandle, SharePool};
-        let formula = pigeonhole_cnf(6);
-        let class = formula_class(&formula);
-        let pool = Arc::new(SharePool::new(4096));
-
-        // Sibling A solves first and publishes its short lemmas.
-        let mut a = Solver::from_cnf(&formula);
-        a.connect_share(ShareHandle::new(Arc::clone(&pool), 0, 6, 32), class);
-        assert_eq!(a.solve(), SolveResult::Unsat);
-        assert!(
-            a.stats().shared_exported > 0,
-            "an UNSAT grind must export lemmas, stats: {:?}",
-            a.stats()
-        );
-        assert_eq!(a.stats().shared_imported, 0, "no sibling published yet");
-
-        // Sibling B imports them at its first solve and must reach the
-        // same verdict (imports are sound, they can only speed it up).
-        let mut b = Solver::from_cnf(&formula);
-        b.connect_share(ShareHandle::new(Arc::clone(&pool), 1, 6, 32), class);
-        assert_eq!(b.solve(), SolveResult::Unsat);
-        assert!(
-            b.stats().shared_imported > 0,
-            "sibling clauses must arrive, stats: {:?}",
-            b.stats()
-        );
-    }
-
-    #[test]
-    fn imports_of_a_foreign_class_are_rejected() {
-        use crate::share::{formula_class, ShareHandle, SharePool};
-        let formula = pigeonhole_cnf(5);
-        let pool = Arc::new(SharePool::new(1024));
-        let mut a = Solver::from_cnf(&formula);
-        a.connect_share(
-            ShareHandle::new(Arc::clone(&pool), 0, 6, 32),
-            formula_class(&formula),
-        );
-        assert_eq!(a.solve(), SolveResult::Unsat);
-        assert!(a.stats().shared_exported > 0);
-
-        // B's formula differs (one extra variable): different class, so
-        // nothing crosses even though the pool is full of A's clauses.
-        let mut bigger = pigeonhole_cnf(5);
-        let _ = bigger.new_var();
-        let mut b = Solver::from_cnf(&bigger);
-        b.connect_share(
-            ShareHandle::new(Arc::clone(&pool), 1, 6, 32),
-            formula_class(&bigger),
-        );
-        assert_eq!(b.solve(), SolveResult::Unsat);
-        assert_eq!(b.stats().shared_imported, 0, "class fence must hold");
-    }
-
-    #[test]
-    fn gated_lemmas_are_never_exported() {
-        use crate::share::{formula_class, ShareHandle, SharePool};
-        // All problem clauses live in a group, so every learnt clause
-        // carries ¬g and must be filtered (the safe-v1 guard rule).
-        let formula = crate::cnf::CnfFormula::new();
-        let pool = Arc::new(SharePool::new(1024));
-        let mut s = Solver::new();
-        s.connect_share(
-            ShareHandle::new(Arc::clone(&pool), 0, 30, 64),
-            formula_class(&formula),
-        );
-        let holes = 4;
-        let pigeons = holes + 1;
-        let mut var = vec![vec![Lit::from_code(0); holes]; pigeons];
-        for p in 0..pigeons {
-            for h in 0..holes {
-                var[p][h] = s.new_var().positive();
-            }
-        }
-        let g = s.new_group();
-        for p in 0..pigeons {
-            let clause: Vec<Lit> = (0..holes).map(|h| var[p][h]).collect();
-            s.add_clause_in_group(g, &clause);
-        }
-        for h in 0..holes {
-            for p1 in 0..pigeons {
-                for p2 in (p1 + 1)..pigeons {
-                    s.add_clause_in_group(g, &[!var[p1][h], !var[p2][h]]);
-                }
-            }
-        }
-        assert_eq!(s.solve_with_assumptions(&[g]), SolveResult::Unsat);
-        assert!(s.stats().conflicts > 0, "the grind really happened");
-        assert_eq!(
-            pool.stats().published,
-            0,
-            "every lemma depends on the group and must stay local"
-        );
-    }
-
-    #[test]
-    fn local_clause_additions_disable_exports_but_not_imports() {
-        use crate::share::{formula_class, ShareHandle, SharePool};
-        let formula = pigeonhole_cnf(5);
-        let class = formula_class(&formula);
-        let pool = Arc::new(SharePool::new(1024));
-
-        // A publishes lemmas for B to import.
-        let mut a = Solver::from_cnf(&formula);
-        a.connect_share(ShareHandle::new(Arc::clone(&pool), 0, 6, 32), class);
-        assert_eq!(a.solve(), SolveResult::Unsat);
-        let published = pool.stats().published;
-        assert!(published > 0);
-
-        // B adds a local clause (like a register-allocation cut) right
-        // after connecting: its lemmas may depend on it, so it must not
-        // publish — but it still consumes A's sound clauses.
-        let mut b = Solver::from_cnf(&formula);
-        b.connect_share(ShareHandle::new(Arc::clone(&pool), 1, 6, 32), class);
-        let extra = Lit::new(Var::new(0), true);
-        b.add_clause(&[extra, !extra.var().positive()]); // tautology, still local intent
-        b.add_clause(&[extra]);
-        assert_eq!(b.solve(), SolveResult::Unsat);
-        assert!(b.stats().shared_imported > 0, "imports stay on");
-        assert_eq!(b.stats().shared_exported, 0, "exports are poisoned");
-        assert_eq!(
-            pool.stats().published,
-            published,
-            "nothing new reached the pool"
-        );
     }
 
     #[test]

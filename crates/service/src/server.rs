@@ -86,11 +86,10 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// The engine configuration every request is solved under (it is part
     /// of the cache key, so a daemon answers consistently for its
-    /// lifetime). Leave `engine.workers` at 0 (the default) to let the
-    /// server divide the hardware threads across its worker pool — each
-    /// concurrent solve then gets an equal share instead of every solve
-    /// claiming every core (quadratic oversubscription under load). A
-    /// non-zero value is an explicit per-solve override.
+    /// lifetime). A solve is sequential and runs on the daemon worker
+    /// that dequeued it, so [`ServerConfig::workers`] alone bounds the
+    /// solver threads; `engine.workers` only sizes `Engine::map_batch`,
+    /// which the daemon never calls.
     pub engine: EngineConfig,
     /// Directory for the persistent result/bound stores; `None` keeps the
     /// caches in memory only.
@@ -319,25 +318,16 @@ impl Server {
     /// unusable.
     pub fn bind(addr: &str, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let hardware = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
         let workers = if config.workers > 0 {
             config.workers
         } else {
-            hardware
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(4)
         };
-        let mut engine_config = config.engine.clone();
-        if engine_config.workers == 0 {
-            // Share the hardware: `workers` requests may solve at once, so
-            // each race gets an equal slice of the thread budget. (The
-            // worker count is not part of the result fingerprint, so this
-            // never changes cache keys or answers.)
-            engine_config.workers = (hardware / workers).max(1);
-        }
         let engine = match &config.cache_dir {
-            Some(dir) => Engine::with_cache_dir(engine_config, dir)?,
-            None => Engine::new(engine_config),
+            Some(dir) => Engine::with_cache_dir(config.engine.clone(), dir)?,
+            None => Engine::new(config.engine.clone()),
         };
         for warning in engine.load_warnings() {
             obs::warn!(LOG_TARGET, "{warning}");

@@ -657,8 +657,8 @@ mod tests {
         let dfg = sample_dfg();
         let cgra = Cgra::square(2);
         let config = satmapit_engine::EngineConfig::default();
-        let a = satmapit_engine::map_raced(&dfg, &cgra, &config);
-        let b = satmapit_engine::map_raced(&dfg, &cgra, &config);
+        let a = satmapit_engine::solve(&dfg, &cgra, &config, None);
+        let b = satmapit_engine::solve(&dfg, &cgra, &config, None);
         assert_eq!(outcome_signature(&a), outcome_signature(&b));
         let sig = outcome_signature(&a);
         assert_eq!(sig.get("status").and_then(Json::as_str), Some("mapped"));

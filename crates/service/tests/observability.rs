@@ -5,7 +5,7 @@
 use satmapit_cgra::Cgra;
 use satmapit_dfg::{Dfg, Op};
 use satmapit_engine::fingerprint::fingerprint;
-use satmapit_engine::{map_raced, EngineConfig};
+use satmapit_engine::{solve, EngineConfig};
 use satmapit_obs as obs;
 use satmapit_service::json::{parse, Json};
 use satmapit_service::wire::outcome_signature;
@@ -33,9 +33,6 @@ fn chrome_trace_round_trips_through_the_service_json_parser() {
     obs::trace::set_enabled(true);
     obs::trace::drain();
     {
-        let track = obs::trace::allocate_tracks(1);
-        obs::trace::name_track(track, "sibling \"zero\"");
-        let _guard = obs::trace::push_track(track);
         let mut span = obs::trace::Span::begin(obs::trace::Category::Rung, "rung ii=3");
         span.arg("conflicts", 41);
         span.arg_str("outcome", "unsat\nwith newline");
@@ -61,15 +58,6 @@ fn chrome_trace_round_trips_through_the_service_json_parser() {
         args.get("outcome").and_then(Json::as_str),
         Some("unsat\nwith newline")
     );
-    // The track label (with its embedded quotes) survives as
-    // thread_name metadata.
-    assert!(trace_events.iter().any(|e| {
-        e.get("name").and_then(Json::as_str) == Some("thread_name")
-            && e.get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(Json::as_str)
-                == Some("sibling \"zero\"")
-    }));
 }
 
 #[test]
@@ -81,11 +69,11 @@ fn tracing_is_fingerprint_neutral_and_changes_no_answer() {
 
     obs::trace::set_enabled(false);
     let key_off = fingerprint(&dfg, &cgra, &config);
-    let answer_off = outcome_signature(&map_raced(&dfg, &cgra, &config));
+    let answer_off = outcome_signature(&solve(&dfg, &cgra, &config, None));
 
     obs::trace::set_enabled(true);
     let key_on = fingerprint(&dfg, &cgra, &config);
-    let answer_on = outcome_signature(&map_raced(&dfg, &cgra, &config));
+    let answer_on = outcome_signature(&solve(&dfg, &cgra, &config, None));
     let events = obs::trace::drain();
     obs::trace::set_enabled(false);
 

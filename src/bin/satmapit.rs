@@ -20,8 +20,7 @@ use sat_mapit::core::routing::map_with_routing;
 use sat_mapit::core::{codegen, Mapper, MapperConfig};
 use sat_mapit::dfg::dot::to_dot;
 use sat_mapit::engine::{
-    map_raced, BackendKind, CacheLifecycle, Counters, DurabilityPolicy, Engine, EngineConfig, Job,
-    ShareConfig,
+    BackendKind, CacheLifecycle, Counters, DurabilityPolicy, Engine, EngineConfig, Job,
 };
 use sat_mapit::kernels;
 use sat_mapit::morph::MorphMapper;
@@ -44,7 +43,7 @@ SUBCOMMANDS:
     dot        Dump a kernel's DFG as Graphviz
     map        Map one kernel onto a square mesh and verify by execution
     sweep      Map one kernel on every mesh size 2x2..5x5 (one Fig. 6 column)
-    batch      Map the whole suite across mesh sizes through the parallel engine
+    batch      Map the whole suite across mesh sizes through the batch engine
     serve      Run the mapping daemon (line-delimited JSON over TCP)
     submit     Submit one mapping job to a running daemon
 
@@ -193,45 +192,24 @@ fn reject_extra_positionals(parsed: &Parsed, expected: usize) {
     }
 }
 
-/// The `--share` flag, shared by the engine-backed subcommands: learnt-
-/// clause exchange between portfolio siblings racing the same II
-/// (meaningful with `--portfolio ≥ 2`; changes which equally-valid model
-/// is found, so results are only reproducible with it off or a portfolio
-/// of 1).
-const SHARE_FLAG: FlagSpec = FlagSpec {
-    name: "--share",
-    takes_value: false,
-    help: "Share learnt clauses between portfolio siblings racing the same II (needs --portfolio >= 2)",
-};
-
-fn share_flag(parsed: &Parsed) -> ShareConfig {
-    if parsed.value("--share").is_some() {
-        ShareConfig::on()
-    } else {
-        ShareConfig::off()
-    }
-}
-
 /// The `--backend` flag, shared by every mapping subcommand: which exact
 /// engine attempts the II ladder (see docs/backends.md).
 const BACKEND_FLAG: FlagSpec = FlagSpec {
     name: "--backend",
     takes_value: true,
-    help: "Mapping backend: `sat` (CDCL ladder, default), `morph` (monomorphism search), or `race` (both, exchanging proven bounds)",
+    help: "Mapping backend: `sat` (CDCL ladder, default) or `morph` (monomorphism search)",
 };
 
 fn backend_flag(parsed: &Parsed) -> BackendKind {
     let raw = parsed.value("--backend").unwrap_or("sat");
     BackendKind::parse(raw).unwrap_or_else(|| {
         // lint: allow(log-discipline) -- usage errors are stderr's contract
-        eprintln!("invalid value `{raw}` for --backend; expected sat, morph or race");
+        eprintln!("invalid value `{raw}` for --backend; expected sat or morph");
         exit(2);
     })
 }
 
-/// Runs one mapping job through the chosen backend: the sequential SAT
-/// ladder, the sequential morph ladder, or a cross-backend race (whose
-/// best II is guaranteed to match the sequential SAT search).
+/// Runs one mapping job through the chosen backend's sequential ladder.
 fn run_backend(
     dfg: &sat_mapit::dfg::Dfg,
     cgra: &Cgra,
@@ -241,18 +219,6 @@ fn run_backend(
     match backend {
         BackendKind::Sat => Mapper::new(dfg, cgra).with_config(config).run(),
         BackendKind::Morph => MorphMapper::new(dfg, cgra).with_config(config).run(),
-        BackendKind::Race => {
-            map_raced(
-                dfg,
-                cgra,
-                &EngineConfig {
-                    mapper: config,
-                    backend,
-                    ..EngineConfig::default()
-                },
-            )
-            .outcome
-        }
     }
 }
 
@@ -327,7 +293,7 @@ fn cmd_map(args: &[String]) {
         BACKEND_FLAG,
     ];
     let help = render_help(
-        "satmapit map <kernel> [--size N] [--timeout S] [--routing R] [--backend sat|morph|race]",
+        "satmapit map <kernel> [--size N] [--timeout S] [--routing R] [--backend sat|morph]",
         "Map one kernel onto an NxN mesh, print the kernel program and verify\nthe mapping by executing it against reference semantics.",
         &spec,
     );
@@ -413,7 +379,7 @@ fn cmd_sweep(args: &[String]) {
         BACKEND_FLAG,
     ];
     let help = render_help(
-        "satmapit sweep <kernel> [--timeout S] [--backend sat|morph|race]",
+        "satmapit sweep <kernel> [--timeout S] [--backend sat|morph]",
         "Map one kernel on every mesh size 2x2..5x5 — one column of the\npaper's Figure 6.",
         &spec,
     );
@@ -444,10 +410,6 @@ fn stat_note(name: &str) -> &'static str {
     match name {
         "bound_starts" => "  (misses whose II ladder started above MII from a proven bound)",
         "arena_wasted" => "  (words: the largest dead-clause residue any solve carried)",
-        "shared_dropped" => {
-            "  (share-ring evictions; raise the ring capacity if persistently high)"
-        }
-        "bound_exchanges" => "  (II closures one backend proved for the other)",
         _ => "",
     }
 }
@@ -472,17 +434,7 @@ fn cmd_batch(args: &[String]) {
         FlagSpec {
             name: "--workers",
             takes_value: true,
-            help: "Worker threads (default 0 = one per hardware thread)",
-        },
-        FlagSpec {
-            name: "--race",
-            takes_value: true,
-            help: "IIs raced concurrently per job (default 4)",
-        },
-        FlagSpec {
-            name: "--portfolio",
-            takes_value: true,
-            help: "Solver-portfolio variants per II (default 1)",
+            help: "Jobs mapped at once (default 0 = one per hardware thread)",
         },
         FlagSpec {
             name: "--repeat",
@@ -500,11 +452,10 @@ fn cmd_batch(args: &[String]) {
             help: "Record a flight-recorder trace of the run and write it as Chrome trace JSON (open in Perfetto)",
         },
         BACKEND_FLAG,
-        SHARE_FLAG,
     ];
     let help = render_help(
-        "satmapit batch [--sizes 3,4,5] [--kernels a,b] [--timeout S] [--workers N] [--race W] [--portfolio P] [--backend sat|morph|race] [--share] [--repeat R] [--stats] [--trace FILE]",
-        "Map the benchmark suite across mesh sizes through the parallel\nII-race engine, with content-hash result caching.",
+        "satmapit batch [--sizes 3,4,5] [--kernels a,b] [--timeout S] [--workers N] [--backend sat|morph] [--repeat R] [--stats] [--trace FILE]",
+        "Map the benchmark suite across mesh sizes through the batch engine\n(one sequential II ladder per job), with content-hash result caching.",
         &spec,
     );
     let parsed = parse_args(args, &spec, &help);
@@ -540,11 +491,8 @@ fn cmd_batch(args: &[String]) {
             timeout: Some(timeout),
             ..MapperConfig::default()
         },
-        race_width: parsed.parse_num("--race", 4usize).max(1),
-        portfolio: parsed.parse_num("--portfolio", 1usize).max(1),
         workers: parsed.parse_num("--workers", 0usize),
         backend: backend_flag(&parsed),
-        share: share_flag(&parsed),
         ..EngineConfig::default()
     };
 
@@ -567,13 +515,11 @@ fn cmd_batch(args: &[String]) {
 
     let engine = Engine::new(config);
     println!(
-        "batch: {} jobs ({} kernels x {} sizes), {} worker threads, race width {}, portfolio {}",
+        "batch: {} jobs ({} kernels x {} sizes), {} worker threads",
         jobs.len(),
         kernel_names.len(),
         sizes.len(),
         engine.config().effective_workers(),
-        engine.config().race_width,
-        engine.config().portfolio,
     );
 
     let mut any_failed = false;
@@ -590,8 +536,8 @@ fn cmd_batch(args: &[String]) {
         let items = engine.map_batch(jobs.clone());
         let wall = t0.elapsed();
         println!(
-            "{:<28} {:>4} {:>4} {:>10} {:>7} {:>7}",
-            "job", "MII", "II", "time", "cached", "cancel"
+            "{:<28} {:>4} {:>4} {:>10} {:>7}",
+            "job", "MII", "II", "time", "cached"
         );
         let mut failures = 0usize;
         for item in &items {
@@ -621,13 +567,12 @@ fn cmd_batch(args: &[String]) {
                 .map(|m| m.mii.to_string())
                 .unwrap_or_else(|_| "-".to_string());
             println!(
-                "{:<28} {:>4} {:>4} {:>10.3?} {:>7} {:>7}",
+                "{:<28} {:>4} {:>4} {:>10.3?} {:>7}",
                 item.name,
                 mii_s,
                 ii,
                 item.elapsed,
                 if item.cached { "yes" } else { "no" },
-                item.outcome.stats.tasks_cancelled,
             );
         }
         let stats = engine.cache_stats();
@@ -726,16 +671,6 @@ fn cmd_serve(args: &[String]) {
             help: "Default wall-clock budget in seconds per job (default 120)",
         },
         FlagSpec {
-            name: "--race",
-            takes_value: true,
-            help: "IIs raced concurrently per job (default 4)",
-        },
-        FlagSpec {
-            name: "--portfolio",
-            takes_value: true,
-            help: "Solver-portfolio variants per II (default 1)",
-        },
-        FlagSpec {
             name: "--trace-dir",
             takes_value: true,
             help: "Enable the flight recorder; `trace` requests drain spans into Chrome trace files in this directory",
@@ -776,11 +711,10 @@ fn cmd_serve(args: &[String]) {
             help: "Consecutive append failures before the engine goes degraded memory-only until restart (default 3; 0 = never degrade)",
         },
         BACKEND_FLAG,
-        SHARE_FLAG,
     ];
     let help = render_help(
-        "satmapit serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] [--queue N] [--timeout S] [--race W] [--portfolio P] [--backend sat|morph|race] [--share] [--trace-dir DIR] [--slow-ms N] [--max-line-bytes N] [--cache-entries N] [--cache-age S] [--compact-every N] [--fsync-every N] [--max-append-failures N]",
-        "Run the mapping daemon: line-delimited JSON requests over TCP, a\nbounded admission queue over the parallel engine, and result/bound\ncaches persisted to --cache-dir across restarts.\n\nProtocol reference: docs/service.md. Stop it with\n`echo '{\"op\":\"shutdown\"}' | nc HOST PORT` or a `shutdown` request\nfrom any client; shutdown compacts the on-disk caches.",
+        "satmapit serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] [--queue N] [--timeout S] [--backend sat|morph] [--trace-dir DIR] [--slow-ms N] [--max-line-bytes N] [--cache-entries N] [--cache-age S] [--compact-every N] [--fsync-every N] [--max-append-failures N]",
+        "Run the mapping daemon: line-delimited JSON requests over TCP, a\nbounded admission queue and worker pool over the engine, and result/bound\ncaches persisted to --cache-dir across restarts.\n\nProtocol reference: docs/service.md. Stop it with\n`echo '{\"op\":\"shutdown\"}' | nc HOST PORT` or a `shutdown` request\nfrom any client; shutdown compacts the on-disk caches.",
         &spec,
     );
     let parsed = parse_args(args, &spec, &help);
@@ -799,13 +733,7 @@ fn cmd_serve(args: &[String]) {
                 timeout: Some(timeout),
                 ..MapperConfig::default()
             },
-            race_width: parsed.parse_num("--race", 4usize).max(1),
-            portfolio: parsed.parse_num("--portfolio", 1usize).max(1),
-            // 0: the server divides the hardware threads across its pool
-            // (each concurrent solve gets an equal share).
-            workers: 0,
             backend: backend_flag(&parsed),
-            share: share_flag(&parsed),
             lifecycle: CacheLifecycle {
                 max_entries: parsed.parse_num("--cache-entries", 0usize),
                 max_age: parsed

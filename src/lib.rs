@@ -19,7 +19,7 @@
 //! | [`regalloc`] | `satmapit-regalloc` | per-PE cyclic-interval register allocation |
 //! | [`core`] | `satmapit-core` | the SAT-MapIt mapper itself |
 //! | [`morph`] | `satmapit-morph` | exact monomorphism mapping backend (space/time decoupled) |
-//! | [`engine`] | `satmapit-engine` | parallel II-race + portfolio engine, batch frontend, result cache |
+//! | [`engine`] | `satmapit-engine` | batch frontend over the one II ladder, result + proven-bound caches, persistent stores |
 //! | [`sim`] | `satmapit-sim` | physical simulator + equivalence checking |
 //! | [`baselines`] | `satmapit-baselines` | RAMP-like and PathSeeker-like mappers |
 //! | [`kernels`] | `satmapit-kernels` | the 11 MiBench/Rodinia benchmark DFGs |
@@ -27,17 +27,16 @@
 //! | [`obs`] | `satmapit-obs` | flight-recorder tracing, latency histograms, structured logging |
 //! | [`faults`] | `satmapit-faults` | deterministic fault injection for I/O paths (see `docs/robustness.md`) |
 //!
-//! ## Parallel mapping
+//! ## Batch mapping
 //!
-//! The [`engine`] crate races candidate IIs (and, optionally, a portfolio
-//! of solver configurations per II) across a worker pool, with losing
-//! workers cancelled cooperatively. Its knobs are the race width (IIs in
-//! flight), the portfolio size (solver variants per II) and the worker
-//! count; with the default exact configuration it is guaranteed to return
-//! the **same best II** as the sequential [`core::Mapper::run`] search.
-//! Batch workloads go through [`engine::Engine`], which memoizes results
-//! in a content-hash-keyed cache — repeated requests are O(1) and
-//! byte-identical. The `satmapit batch` CLI subcommand fronts it.
+//! The [`engine`] crate answers a request from its content-hash-keyed
+//! result cache when it can — repeated requests are O(1) and
+//! byte-identical — and otherwise climbs the same sequential II ladder
+//! as [`core::Mapper::run`] ([`engine::solve`]: the shared
+//! [`core::run_ladder`] driver over the configured [`core::Backend`]),
+//! starting above any II lower bound already proven for the problem.
+//! [`engine::Engine::map_batch`] runs distinct jobs side by side on a
+//! bounded worker pool. The `satmapit batch` CLI subcommand fronts it.
 //!
 //! ## Mapping as a service
 //!

@@ -1,14 +1,12 @@
 //! Cross-backend agreement: the SAT ladder and the monomorphism backend
-//! must pin the same best II on the whole suite, and a cross-backend
-//! race (`BackendKind::Race`) must agree with the sequential SAT mapper
-//! while actually exchanging proven bounds between the lanes. See
+//! must pin the same best II on the whole suite, and the engine must
+//! drive either of them to the answer of its sequential ladder. See
 //! docs/backends.md for the soundness argument these tests pin down.
 
-use proptest::prelude::*;
 use sat_mapit::cgra::Cgra;
 use sat_mapit::core::{validate_mapping, Mapper};
 use sat_mapit::dfg::{Dfg, Op};
-use sat_mapit::engine::{map_raced, BackendKind, Engine, EngineConfig};
+use sat_mapit::engine::{solve, BackendKind, Engine, EngineConfig};
 use sat_mapit::kernels;
 use sat_mapit::morph::MorphMapper;
 use sat_mapit::sim::verify_mapping;
@@ -33,7 +31,7 @@ fn config(backend: BackendKind) -> EngineConfig {
 
 /// 1 const fanning out to 5 negations: on a 1x2 mesh the MII is 3 but
 /// the first rungs are UNSAT, so a ladder must prove real infeasible IIs
-/// before it maps — exactly the shape bound exchange feeds on.
+/// before it maps.
 fn fanout() -> (Dfg, Cgra) {
     let mut dfg = Dfg::new("fanout");
     let c = dfg.add_const(7);
@@ -44,14 +42,13 @@ fn fanout() -> (Dfg, Cgra) {
     (dfg, Cgra::new(1, 2))
 }
 
-/// The tentpole acceptance: on the full 11-kernel suite at 4x4, the
-/// sequential morph ladder and the cross-backend race both return the
-/// sequential SAT mapper's best II, and the race's winning mapping is
+/// On the full 11-kernel suite at 4x4, the sequential morph ladder
+/// returns the sequential SAT mapper's best II, and its mapping is
 /// independently valid and executable.
 #[test]
 fn all_backends_pin_the_same_best_ii_on_4x4_for_every_kernel() {
     let cgra = Cgra::square(4);
-    let config = config(BackendKind::Race);
+    let config = config(BackendKind::Morph);
     for kernel in kernels::all() {
         let sat = Mapper::new(&kernel.dfg, &cgra)
             .with_config(config.mapper.clone())
@@ -68,65 +65,16 @@ fn all_backends_pin_the_same_best_ii_on_4x4_for_every_kernel() {
             "{}: morph best II must equal the SAT ladder's",
             kernel.name()
         );
-        let raced = map_raced(&kernel.dfg, &cgra, &config);
-        assert_eq!(
-            raced.ii(),
-            Some(sat_ii),
-            "{}: cross-backend race best II must equal the sequential SAT mapper's",
-            kernel.name()
-        );
-        assert_eq!(
-            raced.stats.sat_wins + raced.stats.morph_wins,
-            1,
-            "{}: exactly one backend wins a successful race",
-            kernel.name()
-        );
-        let mapped = raced.outcome.result.expect("mapped above");
+        let mapped = morph.result.expect("mapped above");
         assert!(validate_mapping(&kernel.dfg, &cgra, &mapped.mapping).is_ok());
         verify_mapping(&kernel.dfg, &cgra, &mapped, kernel.memory.clone(), 4)
             .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
     }
 }
 
-/// A single-worker cross-backend race executes its tasks in a
-/// deterministic order: the canonical SAT lane proves the UNSAT rungs
-/// first, and every such proof closure is a bound the morph lane never
-/// has to re-establish — `bound_exchanges` must count them.
-#[test]
-fn cross_backend_race_exchanges_bounds_on_unsat_rungs() {
-    let (dfg, cgra) = fanout();
-    let mut cfg = config(BackendKind::Race);
-    cfg.workers = 1;
-    let raced = map_raced(&dfg, &cgra, &cfg);
-    let sequential = Mapper::new(&dfg, &cgra)
-        .with_config(cfg.mapper.clone())
-        .run();
-    assert_eq!(raced.ii(), sequential.ii(), "race must agree on fanout");
-    assert!(
-        raced.stats.bound_exchanges > 0,
-        "the fanout ladder has UNSAT rungs; each proof closure in a \
-         cross-backend race is a bound exchange, got stats {:?}",
-        raced.stats
-    );
-}
-
-/// Single-backend races never report bound exchanges — the counter is
-/// defined as *cross*-backend proof traffic.
-#[test]
-fn single_backend_races_report_no_bound_exchanges() {
-    let (dfg, cgra) = fanout();
-    for backend in [BackendKind::Sat, BackendKind::Morph] {
-        let raced = map_raced(&dfg, &cgra, &config(backend));
-        assert_eq!(
-            raced.stats.bound_exchanges, 0,
-            "{backend}: single-backend race counted an exchange"
-        );
-    }
-}
-
-/// `BackendKind::Morph` re-hosts the engine entirely on the morph lane:
-/// same best II as the sequential morph ladder, and the win counters
-/// attribute the mapping to morph.
+/// `BackendKind::Morph` re-hosts the engine entirely on the morph
+/// backend: same best II as the sequential morph ladder, and the win
+/// counters attribute the mapping to morph.
 #[test]
 fn morph_backend_through_the_engine_matches_sequential_morph() {
     let cgra = Cgra::square(3);
@@ -136,86 +84,43 @@ fn morph_backend_through_the_engine_matches_sequential_morph() {
         let sequential = MorphMapper::new(&kernel.dfg, &cgra)
             .with_config(cfg.mapper.clone())
             .run();
-        let raced = map_raced(&kernel.dfg, &cgra, &cfg);
-        assert_eq!(raced.ii(), sequential.ii(), "{name}");
-        assert_eq!(raced.stats.sat_wins, 0, "{name}: no SAT lane ran");
-        assert_eq!(raced.stats.morph_wins, 1, "{name}");
-        let mapped = raced.outcome.result.expect("3x3 maps");
+        let solved = solve(&kernel.dfg, &cgra, &cfg, None);
+        assert_eq!(solved.ii(), sequential.ii(), "{name}");
+        assert_eq!(
+            solved.stats.sat_wins, 0,
+            "{name}: the SAT backend never ran"
+        );
+        assert_eq!(solved.stats.morph_wins, 1, "{name}");
+        let mapped = solved.outcome.result.expect("3x3 maps");
         assert!(validate_mapping(&kernel.dfg, &cgra, &mapped.mapping).is_ok());
     }
 }
 
-/// The batch engine aggregates the per-race counters into its
+/// The batch engine aggregates the per-solve win counters into its
 /// fleet-level cache statistics (what the daemon's `stats` response and
-/// `satmapit batch --stats` report).
+/// `satmapit batch --stats` report), and a bound one backend proved is a
+/// rung the other never attempts: the proven-bound cache is keyed on the
+/// problem alone.
 #[test]
 fn batch_engine_aggregates_cross_backend_counters() {
     let (dfg, cgra) = fanout();
-    let mut cfg = config(BackendKind::Race);
-    cfg.workers = 1;
-    let engine = Engine::new(cfg);
-    let (outcome, cached) = engine.map(&dfg, &cgra);
+    let sat = Engine::new(config(BackendKind::Sat));
+    let (outcome, cached) = sat.map(&dfg, &cgra);
     assert!(!cached);
-    assert!(outcome.ii().is_some(), "fanout maps on 1x2");
-    let stats = engine.cache_stats();
-    assert_eq!(
-        stats.sat_wins + stats.morph_wins,
-        1,
-        "one race, one winner: {stats:?}"
-    );
-    assert!(
-        stats.bound_exchanges > 0,
-        "the race's exchanges must surface in the engine stats: {stats:?}"
-    );
-}
+    let best = outcome.ii().expect("fanout maps on 1x2");
+    assert!(outcome.outcome.attempts.len() > 1, "UNSAT rungs first");
+    let stats = sat.cache_stats();
+    assert_eq!((stats.sat_wins, stats.morph_wins), (1, 0), "{stats:?}");
+    assert_eq!(sat.proven_bound(&dfg, &cgra), Some(best));
 
-/// The suite kernels whose morph ladder finishes quickly on a 2x2 mesh.
-/// `hotspot` and `nw` sit in morph's small-mesh blind spot — their
-/// feasible rungs there pair a huge candidate space with sparse
-/// solutions, so the sequential-morph arm of the property would burn
-/// its whole timeout. Both are pinned at 4x4 by
-/// `all_backends_pin_the_same_best_ii_on_4x4_for_every_kernel`.
-const SMALL_MESH_KERNELS: [&str; 9] = [
-    "sha",
-    "gsm",
-    "patricia",
-    "bitcount",
-    "backprop",
-    "srand",
-    "sha2",
-    "basicmath",
-    "stringsearch",
-];
+    let morph = Engine::new(config(BackendKind::Morph));
+    let (outcome, _) = morph.map(&dfg, &cgra);
+    assert_eq!(outcome.ii(), Some(best), "backends agree on fanout");
+    let stats = morph.cache_stats();
+    assert_eq!((stats.sat_wins, stats.morph_wins), (0, 1), "{stats:?}");
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// A cross-backend race never returns a *worse* (higher) best II
-    /// than either backend running alone: closures are only canonical
-    /// giveups or sound proofs, and an extra lane can only add mappings.
-    #[test]
-    fn cross_backend_race_is_never_worse_than_either_backend_alone(
-        kernel_index in 0usize..SMALL_MESH_KERNELS.len(),
-        race_width in 1usize..4,
-    ) {
-        let kernel = kernels::by_name(SMALL_MESH_KERNELS[kernel_index]).unwrap();
-        let cgra = Cgra::square(2);
-        let mut cfg = config(BackendKind::Race);
-        cfg.race_width = race_width;
-        let sat = Mapper::new(&kernel.dfg, &cgra)
-            .with_config(cfg.mapper.clone())
-            .run();
-        let morph = MorphMapper::new(&kernel.dfg, &cgra)
-            .with_config(cfg.mapper.clone())
-            .run();
-        let raced = map_raced(&kernel.dfg, &cgra, &cfg);
-        let race_ii = raced.ii().expect("2x2 suite maps under the race");
-        let sat_ii = sat.ii().expect("2x2 suite maps under sat");
-        let morph_ii = morph.ii().expect("2x2 suite maps under morph");
-        prop_assert!(
-            race_ii <= sat_ii && race_ii <= morph_ii,
-            "{}: race II {} worse than sat {} / morph {}",
-            kernel.name(), race_ii, sat_ii, morph_ii
-        );
-    }
+    // The SAT-proven bound lifts the morph backend's start: one rung.
+    let lifted = solve(&dfg, &cgra, &config(BackendKind::Morph), Some(best));
+    assert_eq!(lifted.ii(), Some(best));
+    assert_eq!(lifted.outcome.attempts.len(), 1, "lower rungs skipped");
 }

@@ -1,13 +1,13 @@
 //! Regression coverage for the lock-poison cascade (PR 7): a panic
-//! inside one race worker must cost exactly that request, not the
-//! engine. Before the fix, the panicking worker poisoned the race's
-//! shared mutex and every later `.lock().expect(..)` in the engine —
-//! `cache_stats`, the next `map` call — panicked in sympathy, turning
-//! one bad solve into a dead daemon.
+//! inside one solve must cost exactly that request, not the engine.
+//! Before the fix, a panicking solver thread poisoned a shared mutex and
+//! every later `.lock().expect(..)` in the engine — `cache_stats`, the
+//! next `map` call — panicked in sympathy, turning one bad solve into a
+//! dead daemon.
 //!
 //! The fault is injected through `EngineConfig::panic_on_name`
-//! (`#[doc(hidden)]`, test-only): every race-worker attempt for a DFG
-//! with that name panics before touching the solver.
+//! (`#[doc(hidden)]`, test-only): every rung attempt for a DFG with that
+//! name panics before touching the solver.
 
 use sat_mapit::cgra::Cgra;
 use sat_mapit::core::MapFailure;
@@ -55,7 +55,7 @@ fn injected_worker_panic_is_contained_to_one_request() {
     assert!(!cached, "first solve cannot be a cache hit");
 
     // Engine telemetry still answers after the panic: these lock the
-    // same mutexes the panicking worker's siblings held.
+    // mutexes the panicking solve's in-flight guard released.
     let stats = engine.cache_stats();
     assert_eq!(stats.hits, 0);
 
