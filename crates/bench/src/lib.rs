@@ -10,8 +10,8 @@
 //! cargo run --release -p satmapit-bench --bin repro -- all --timeout 60
 //! ```
 //!
-//! Criterion benches in `benches/` cover per-cell mapping throughput and
-//! the encoding/solver ablations.
+//! Criterion benches in `benches/` time the Figure 6 and table cells;
+//! performance questions beyond the paper's tables go to `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,12 +2,11 @@
 //!
 //! The engine's miss path, the batch cache and the service tier never
 //! cared *how* a candidate II gets answered — only that attempting one
-//! under [`SolveLimits`] yields the definitive/indefinite
-//! [`AttemptReport`] contract with cooperative cancellation. This trait
-//! makes that contract explicit so exact mappers with completely
-//! different search profiles (the SAT ladder here, the monomorphism
-//! mapper in `satmapit-morph`) can be driven interchangeably by the one
-//! II loop, [`crate::Rungs::climb`].
+//! under a [`SolveLimits`] deadline yields an [`AttemptReport`] or a
+//! terminal failure. This trait makes that contract explicit so exact
+//! mappers with completely different search profiles (the SAT ladder
+//! here, the monomorphism mapper in `satmapit-morph`) can be driven
+//! interchangeably by the one II loop, [`crate::Rungs::climb`].
 //!
 //! ## The contract
 //!
@@ -18,19 +17,16 @@
 //!
 //! * `Err` only for terminal conditions (invalid II, structural
 //!   infeasibility, internal inconsistency, the wall-clock deadline in
-//!   `limits` expiring);
-//! * everything else is an `Ok` report — including a cooperative
-//!   cancellation via `limits.stop`, reported as
-//!   `AttemptOutcome::SolverBudget(StopReason::Cancelled)` (the one
-//!   non-definitive outcome);
+//!   `limits` expiring); `Err(Timeout)` is the only limit outcome;
+//! * everything else is an `Ok` report that settles the II;
 //! * an `AttemptOutcome::Unsat` report is a **proof**: no mapping
 //!   exists at that II under the problem semantics (mobility-window
 //!   slack, register feasibility). Proofs are what the engine persists
 //!   as II lower bounds — and either backend later starts above — so a
 //!   backend must never report `Unsat` heuristically;
-//! * the stop flag and deadline are polled on a bounded cadence
+//! * the deadline is polled on a bounded cadence
 //!   (`satmapit_sat::LIMIT_POLL_INTERVAL` search steps for the in-tree
-//!   backends), so cancellation is observed promptly.
+//!   backends), so it ends an attempt promptly.
 
 use crate::mapper::{AttemptReport, MapFailure, PreparedMapper};
 use satmapit_sat::SolveLimits;

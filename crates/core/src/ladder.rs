@@ -46,13 +46,12 @@
 //! Both entry points run the same rung body, `solve_rung`: solve →
 //! decode → validate → allocate registers → cut and re-solve. They differ
 //! only in where the solver comes from — the ladder's live solver behind
-//! a rung gate, or a fresh solver per attempt. Whenever the search is
-//! complete — no [`crate::MapperConfig::max_conflicts_per_ii`] budget and
-//! no exhausted register-allocation retry loop — the live ladder returns
-//! the same best II as a fresh solver per II, the paper's scratch loop
-//! (pinned by `tests/engine_agreement.rs`); under give-up budgets the two
-//! may abandon different rungs, exactly as two differently-seeded scratch
-//! runs may.
+//! a rung gate, or a fresh solver per attempt. A rung runs to a verdict
+//! or to the search's deadline, so unless the register-allocation retry
+//! loop ([`crate::RA_CUT_BUDGET`]) runs out the live ladder returns the
+//! same best II as a fresh solver per II, the paper's scratch loop
+//! (pinned by `tests/engine_agreement.rs`); an exhausted retry loop is a
+//! give-up, and the two may give up at different rungs.
 //!
 //! Soundness: the prefix only states facts true of every valid mapping at
 //! every II (each node executes on exactly one PE; dependent nodes are
@@ -72,9 +71,7 @@ use crate::{decode_model, validate_mapping};
 use satmapit_cgra::{Cgra, PeId};
 use satmapit_dfg::Dfg;
 use satmapit_sat::encode::{exactly_one, AmoEncoding};
-use satmapit_sat::{
-    CnfFormula, Counters, Lit, SolveLimits, SolveResult, Solver, SolverStats, StopReason, Var,
-};
+use satmapit_sat::{CnfFormula, Counters, Lit, SolveLimits, SolveResult, Solver, SolverStats, Var};
 use satmapit_schedule::Kms;
 use std::time::Instant;
 
@@ -273,7 +270,7 @@ pub(crate) fn attempt_gated(
     // VSIDS activities from the previous rung's semantically
     // corresponding variables before the first solve — same node, same
     // unfolded schedule slot, same PE. Answer-preserving: it only steers
-    // the search order, like a phase seed.
+    // the search order.
     if let Some(prev) = prev_rung {
         let pairs = rung_transfer_pairs(prev, &enc.varmap, base);
         solver.on_rung_advance(&pairs, RUNG_ACTIVITY_SCALE);
@@ -343,7 +340,7 @@ pub(crate) fn solve_rung(
                     }
                     // Cut the failing PE's configuration and re-solve
                     // (warm solver).
-                    Err(e) if cuts < config.ra_cuts => {
+                    Err(e) if cuts < crate::RA_CUT_BUDGET => {
                         let cut = prepared.ra_cut_clause(&enc.varmap, delta_model, &mapping, e.pe);
                         debug_assert!(!cut.is_empty());
                         let cut: Vec<Lit> = cut.iter().map(|l| l.shifted_by(base)).collect();
@@ -372,12 +369,8 @@ pub(crate) fn solve_rung(
                 };
                 break (outcome, None, proven_unmappable);
             }
-            SolveResult::Unknown(StopReason::Timeout) => {
-                return Err(MapFailure::Timeout { at_ii: ii });
-            }
-            SolveResult::Unknown(reason @ (StopReason::ConflictLimit | StopReason::Cancelled)) => {
-                break (AttemptOutcome::SolverBudget(reason), None, false);
-            }
+            // The deadline is the only limit a rung runs under.
+            SolveResult::Unknown => return Err(MapFailure::Timeout { at_ii: ii }),
         }
     };
     Ok(AttemptReport {
@@ -451,7 +444,7 @@ impl std::fmt::Debug for IiLadder<'_, '_> {
 
 impl<'p, 'a> IiLadder<'p, 'a> {
     pub(crate) fn open(prepared: &'p PreparedMapper<'a>) -> Result<IiLadder<'p, 'a>, EncodeError> {
-        let mut solver = Solver::with_options(&prepared.config.solver);
+        let mut solver = Solver::new();
         let prefix = install_prefix(&mut solver, prepared.dfg, prepared.cgra)?;
         let solver_ok = solver.is_ok();
         Ok(IiLadder {
@@ -532,9 +525,6 @@ impl<'p, 'a> IiLadder<'p, 'a> {
             // Already proven at an earlier rung; answer without solving.
             return Ok(AttemptReport::unmappable(ii, t_ii.elapsed()));
         }
-        if limits.stop_requested() {
-            return Ok(AttemptReport::cancelled(ii, t_ii.elapsed()));
-        }
         // Retire the *previous* rung now, not the current one at exit:
         // deferring the sweep (and the arena collection it feeds) to the
         // start of the next attempt means a ladder that stops — because
@@ -590,8 +580,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::{Mapper, MapperConfig};
     use satmapit_dfg::Op;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
 
     /// a -> b -> c -> a: RecMII = 3, and the domain filter alone refutes
     /// II = 1 and II = 2 on any mesh.
@@ -621,7 +609,6 @@ pub(crate) mod tests {
         assert_eq!(report.attempt.encode_stats.clauses, 1, "the empty clause");
         assert!(report.mapped.is_none());
         assert!(!report.proven_unmappable, "only this II is refuted");
-        assert!(report.is_definitive());
     }
 
     #[test]
@@ -637,16 +624,6 @@ pub(crate) mod tests {
         // variable count also says no group was opened.
         let vars = ladder.solver.num_vars();
         let clauses = ladder.solver.stats().added_clauses;
-
-        // A raised stop flag is answered before the filter runs.
-        let stopped = SolveLimits::none().with_stop_flag(Arc::new(AtomicBool::new(true)));
-        let report = ladder.attempt_ii(1, &stopped).unwrap();
-        assert_eq!(
-            report.attempt.outcome,
-            AttemptOutcome::SolverBudget(StopReason::Cancelled)
-        );
-        assert_eq!(ladder.proven_lower_bound(), 1);
-
         for ii in 1..=2 {
             let report = ladder.attempt_ii(ii, &SolveLimits::none()).unwrap();
             assert_filter_closed(&report, ii);

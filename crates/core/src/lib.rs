@@ -74,7 +74,7 @@ pub use decode::{decode_model, DecodeError};
 pub use ladder::IiLadder;
 pub use mapper::{
     map, run_ladder, traced_rung, AttemptOutcome, AttemptReport, IiAttempt, MapFailure, MapOutcome,
-    MappedLoop, Mapper, MapperConfig, PreparedMapper, Rungs, SlackPolicy,
+    MappedLoop, Mapper, MapperConfig, PreparedMapper, Rungs, SlackPolicy, RA_CUT_BUDGET,
 };
 pub use mapping::{Mapping, Placement, TransferKind};
 pub use regs::{allocate_registers, live_values};

@@ -51,31 +51,29 @@ pub struct MapperConfig {
     pub timeout: Option<Duration>,
     /// At-most-one encoding used for C1/C2.
     pub amo: AmoEncoding,
-    /// Optional per-II conflict budget; exhausting it skips to the next II
-    /// (off by default — it trades optimality for time).
-    pub max_conflicts_per_ii: Option<u64>,
     /// Step budget for the exact register-allocation colouring.
     pub regalloc_budget: u64,
     /// Start the search at this II instead of the computed MII.
     pub start_ii: Option<u32>,
     /// Mobility-window extension policy.
     pub slack: SlackPolicy,
-    /// When register allocation fails, forbid the failing PE's exact
-    /// configuration with a blocking clause and re-solve the same II (up
-    /// to this many cuts) before falling back to II++ (paper Fig. 3).
-    /// The cut is sound: register demand on a PE is fully determined by
-    /// the nodes placed on it, so only genuinely infeasible
-    /// configurations are excluded. `0` reproduces the paper's plain
-    /// "II++ on RA failure" behaviour.
-    pub ra_cuts: u32,
     /// Encode register-file capacity (C4) directly in the SAT formulation
     /// (extension over the paper; see
     /// [`crate::encoder::EncodeOptions::register_pressure`]).
     pub register_pressure: bool,
-    /// Solver tunables (restart scale, phase seed). The defaults reproduce
-    /// the canonical solver.
+    /// Solver tunables. None are left; the field stays for callers that
+    /// pass it on to [`Solver::from_cnf_with`].
     pub solver: SolverOptions,
 }
+
+/// When register allocation fails at a rung, the failing PE's exact
+/// configuration is forbidden with a blocking clause and the same II is
+/// re-solved, up to this many cuts, before the rung is given up as
+/// `RegAllocFailed` (paper Fig. 3's second loop). The cut is sound:
+/// register demand on a PE is fully determined by the nodes placed on
+/// it, so only genuinely infeasible configurations are excluded. The
+/// morph backend counts failed embeddings against the same budget.
+pub const RA_CUT_BUDGET: u32 = 200;
 
 impl MapperConfig {
     /// Candidate IIs must lie in `1..=max_ii` (II = 0 has no kernel and
@@ -101,11 +99,9 @@ impl Default for MapperConfig {
             max_ii: 50,
             timeout: None,
             amo: AmoEncoding::Auto,
-            max_conflicts_per_ii: None,
             regalloc_budget: 1_000_000,
             start_ii: None,
             slack: SlackPolicy::FullWheel,
-            ra_cuts: 200,
             register_pressure: true,
             solver: SolverOptions::default(),
         }
@@ -138,7 +134,9 @@ pub enum AttemptOutcome {
     RegAllocFailed(RegAllocError),
     /// Proven unsatisfiable at this II.
     Unsat,
-    /// Solver budget exhausted (conflict budget skips to the next II).
+    /// Retired: a rung given up under a conflict budget or a stop flag,
+    /// both gone. Nothing produces it; it stays because stored traces may
+    /// hold it.
     SolverBudget(StopReason),
 }
 
@@ -320,13 +318,12 @@ impl<'a> Mapper<'a> {
 }
 
 /// The rungs of one sequential II search in progress: the per-II trace
-/// collected so far plus the budgets every rung runs under. Handed to the
-/// session closure of [`run_ladder`].
+/// collected so far plus the deadline every rung runs under. Handed to
+/// the session closure of [`run_ladder`].
 #[derive(Debug)]
 pub struct Rungs {
     max_ii: u32,
-    /// What every rung runs under: the search's wall-clock deadline and
-    /// the configured per-II conflict budget.
+    /// What every rung runs under: the search's wall-clock deadline.
     limits: SolveLimits,
     attempts: Vec<IiAttempt>,
 }
@@ -336,7 +333,7 @@ impl Rungs {
     /// `start_ii + 1`, … until a rung maps, proves the loop unmappable at
     /// every II, fails terminally, the wall-clock budget runs out, or II
     /// passes [`MapperConfig::max_ii`]. Every rung runs under the
-    /// remaining deadline and the configured per-II conflict budget.
+    /// search's deadline.
     ///
     /// # Errors
     ///
@@ -348,7 +345,7 @@ impl Rungs {
     ) -> Result<MappedLoop, MapFailure> {
         let mut ii = start_ii;
         while ii <= self.max_ii {
-            if self.limits.deadline.is_some_and(|dl| Instant::now() >= dl) {
+            if self.limits.expired() {
                 return Err(MapFailure::Timeout { at_ii: ii });
             }
             let report = attempt(ii, &self.limits)?;
@@ -374,7 +371,8 @@ impl Rungs {
 /// its backend and then [`Rungs::climb`]s with its per-rung attempt — and
 /// packages the result with the per-II trace. The span records the rung
 /// count and the final status; with tracing off it costs one atomic load
-/// and `span_name` is never formatted.
+/// and `span_name` is never formatted. A timeout too large to add to the
+/// clock sets no deadline.
 pub fn run_ladder(
     span_name: fmt::Arguments<'_>,
     config: &MapperConfig,
@@ -386,9 +384,7 @@ pub fn run_ladder(
     let mut rungs = Rungs {
         max_ii: config.max_ii,
         limits: SolveLimits {
-            max_conflicts: config.max_conflicts_per_ii,
-            deadline: config.timeout.map(|d| t0 + d),
-            ..SolveLimits::none()
+            deadline: config.timeout.and_then(|d| t0.checked_add(d)),
         },
         attempts: Vec::new(),
     };
@@ -428,17 +424,6 @@ pub struct AttemptReport {
 }
 
 impl AttemptReport {
-    /// The report of an attempt abandoned before any work because the
-    /// stop flag in its limits was already raised:
-    /// `SolverBudget(Cancelled)`, no encoding, no solver effort.
-    pub fn cancelled(ii: u32, elapsed: Duration) -> AttemptReport {
-        AttemptReport::unsolved(
-            ii,
-            AttemptOutcome::SolverBudget(StopReason::Cancelled),
-            elapsed,
-        )
-    }
-
     /// The report of an attempt answered without solving because the loop
     /// is already proven unmappable at every II: `Unsat` with
     /// [`AttemptReport::proven_unmappable`] set.
@@ -471,17 +456,6 @@ impl AttemptReport {
             mapped: None,
             proven_unmappable: false,
         }
-    }
-
-    /// `true` when this II is settled: it either mapped or was proven /
-    /// declared unmappable (UNSAT, register-allocation giveup, conflict
-    /// budget). Cancelled attempts are *not* definitive — the candidate II
-    /// was abandoned, not answered.
-    pub fn is_definitive(&self) -> bool {
-        !matches!(
-            self.attempt.outcome,
-            AttemptOutcome::SolverBudget(StopReason::Cancelled)
-        )
     }
 }
 
@@ -527,9 +501,8 @@ pub fn traced_rung(
             // filter refuted the rung before it was encoded.
             AttemptOutcome::Unsat if report.attempt.solver_stats.is_none() => "unsat_filter",
             AttemptOutcome::Unsat => "unsat",
-            AttemptOutcome::SolverBudget(StopReason::ConflictLimit) => "conflict_limit",
-            AttemptOutcome::SolverBudget(StopReason::Cancelled) => "cancelled",
-            AttemptOutcome::SolverBudget(StopReason::Timeout) => "timeout",
+            // Unreachable: no attempt gives up under a budget any more.
+            AttemptOutcome::SolverBudget(_) => "solver_budget",
         },
         Err(failure) => failure_label(failure),
     };
@@ -665,11 +638,8 @@ impl<'a> PreparedMapper<'a> {
     ///
     /// Terminal conditions become `Err`: an out-of-range II, a structural
     /// encoding failure, an internal consistency failure, or the
-    /// wall-clock deadline in `limits` expiring ([`MapFailure::Timeout`]).
-    /// Everything else — including a cooperative cancellation via
-    /// `limits.stop`, reported as
-    /// `AttemptOutcome::SolverBudget(StopReason::Cancelled)` — is an `Ok`
-    /// report.
+    /// wall-clock deadline in `limits` expiring ([`MapFailure::Timeout`],
+    /// the only limit outcome). Everything else is an `Ok` report.
     ///
     /// Every attempt builds a fresh solver of its own, so a plain loop
     /// over this method is the paper's scratch ladder.
@@ -689,12 +659,6 @@ impl<'a> PreparedMapper<'a> {
     fn attempt_ii_inner(&self, ii: u32, limits: &SolveLimits) -> Result<AttemptReport, MapFailure> {
         self.config.check_ii(ii)?;
         let t_ii = Instant::now();
-        // An already-raised stop flag makes the whole attempt moot; bail
-        // before paying for the KMS fold and the CNF encoding (the solver
-        // checks again before searching, covering the encode window).
-        if limits.stop_requested() {
-            return Ok(AttemptReport::cancelled(ii, t_ii.elapsed()));
-        }
         if self.proven_unmappable() {
             return Ok(AttemptReport::unmappable(ii, t_ii.elapsed()));
         }
@@ -702,7 +666,7 @@ impl<'a> PreparedMapper<'a> {
         if enc.refuted.is_some() {
             return Ok(AttemptReport::filter_refuted(ii, enc.stats, t_ii.elapsed()));
         }
-        let mut solver = Solver::from_cnf_with(&enc.formula, &self.config.solver);
+        let mut solver = Solver::from_cnf(&enc.formula);
         // A solver of its own, nothing ahead of the encoding in it: no
         // gate, variable base 0.
         crate::ladder::solve_rung(self, &mut solver, &enc, &kms, None, 0, limits, t_ii)
@@ -912,6 +876,15 @@ mod tests {
             .with_timeout(Duration::from_secs(0))
             .run();
         assert!(matches!(outcome.result, Err(MapFailure::Timeout { .. })));
+    }
+
+    #[test]
+    fn a_timeout_past_the_clock_means_no_deadline() {
+        // `t0 + timeout` used to overflow and panic in `run_ladder`.
+        let dfg = chain(4);
+        let cgra = Cgra::square(2);
+        let outcome = Mapper::new(&dfg, &cgra).with_timeout(Duration::MAX).run();
+        assert_eq!(outcome.ii(), Some(1));
     }
 
     #[test]

@@ -752,9 +752,10 @@ impl Engine {
     /// (IIs below the start are covered by the MII theory plus the
     /// previously recorded bound), or `u32::MAX` when an UNSAT core proved
     /// the problem unmappable at every II. Only sound proofs feed the map
-    /// — giveups (conflict budgets, register-allocation retries) never do,
-    /// and engines configured with an explicit `start_ii` record nothing
-    /// (their start is not a feasibility statement).
+    /// — a give-up (an exhausted register-allocation retry loop) or a rung
+    /// the deadline cut short never does, and engines configured with an
+    /// explicit `start_ii` record nothing (their start is not a
+    /// feasibility statement).
     fn record_bound(
         &self,
         problem_key: Fingerprint,

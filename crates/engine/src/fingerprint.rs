@@ -123,19 +123,25 @@ pub fn hash_config(h: &mut Hasher, config: &EngineConfig) {
     h.write_u64(u64::from(m.max_ii));
     h.write_opt_u64(m.timeout.map(|d| d.as_nanos() as u64));
     h.write_str(&format!("{:?}", m.amo));
-    h.write_opt_u64(m.max_conflicts_per_ii);
+    // The retired per-II conflict budget was hashed here as an absent
+    // `Option` (its default): one 0 byte.
+    h.write(&[0]);
     h.write_u64(m.regalloc_budget);
     h.write_opt_u64(m.start_ii.map(u64::from));
     h.write_str(&format!("{:?}", m.slack));
-    h.write_u64(u64::from(m.ra_cuts));
+    // The register-allocation cut budget, a knob until it became a
+    // constant; hashed as before.
+    h.write_u64(u64::from(satmapit_core::RA_CUT_BUDGET));
     h.write(&[u8::from(m.register_pressure)]);
     // Two retired ladder switches (live-vs-scratch ladder, rung-to-rung
     // heuristic transfer; see docs/solver.md) were hashed here as one
     // byte each, both on by default; their constant bytes stay so every
     // key written under the defaults stays warm.
     h.write(&[1, 1]);
-    h.write_u64(m.solver.restart_base);
-    h.write_opt_u64(m.solver.phase_seed);
+    // The retired solver options — the Luby restart base (100) and an
+    // absent phase seed — were hashed here; their constants stay too.
+    h.write_u64(100);
+    h.write(&[0]);
     // The retired arena-GC ablation switch (always on now) was hashed
     // here as one byte; its constant stays, like the two above.
     h.write(&[1]);
@@ -280,8 +286,7 @@ mod tests {
         // Execution knobs do not move the problem key…
         let mut exec = base.clone();
         exec.mapper.timeout = Some(std::time::Duration::from_secs(1));
-        exec.mapper.max_conflicts_per_ii = Some(10);
-        exec.mapper.solver.phase_seed = Some(42);
+        exec.mapper.amo = satmapit_sat::encode::AmoEncoding::Sequential;
         assert_eq!(key, problem_fingerprint(&dfg, &cgra, &exec.mapper));
 
         // …but semantic knobs do.
@@ -294,7 +299,9 @@ mod tests {
     }
 
     /// Golden keys, computed on the commit before the two ladder
-    /// switches above were retired. Every `results.smc` /
+    /// switches above were retired (the daemon's, on the commit before
+    /// the solver options, the per-II conflict budget and the cut-budget
+    /// knob were retired). Every `results.smc` /
     /// `bounds.smc` record on disk is addressed by these hashes: if this
     /// test fails, the change under review silently discards every user's
     /// warm cache — restore the byte stream instead of updating the values
@@ -322,7 +329,14 @@ mod tests {
             fingerprint(&dfg, &cgra, &morph).to_string(),
             "a229f6ebf43cd82752fddbac15374bf9"
         );
-        for config in [&default_config, &morph] {
+        // `satmapit serve`'s engine: the defaults with a 120 s timeout.
+        let mut serve = EngineConfig::default();
+        serve.mapper.timeout = Some(std::time::Duration::from_secs(120));
+        assert_eq!(
+            fingerprint(&dfg, &cgra, &serve).to_string(),
+            "9e0065e598394583f78335ec157b0d55"
+        );
+        for config in [&default_config, &morph, &serve] {
             assert_eq!(
                 problem_fingerprint(&dfg, &cgra, &config.mapper).to_string(),
                 "9a13606de74170fabb2fca09e0c3469f"

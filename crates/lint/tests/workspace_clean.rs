@@ -82,8 +82,8 @@ fn seeded_violations_in_real_files_still_fire() {
             "log-discipline",
         ),
         // The morph backend crate sits inside the lint perimeter like
-        // every other runtime crate: its search core polls cooperative
-        // stop flags, so the ordering discipline must fire there too.
+        // every other runtime crate: the ordering discipline must fire in
+        // its search core too.
         (
             "crates/morph/src/search.rs",
             "fn _seeded(c: &std::sync::atomic::AtomicU64) -> u64 {\n    \

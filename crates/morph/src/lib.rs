@@ -31,17 +31,16 @@
 //! proof the engine may record as a bound the SAT backend later starts
 //! above);
 //! register-allocation failures are retried up to
-//! [`MapperConfig::ra_cuts`] embeddings, after which the II is declared
-//! `RegAllocFailed` — definitive, but not a proof, mirroring the SAT
-//! backend's cut budget.
+//! [`satmapit_core::RA_CUT_BUDGET`] embeddings, after which the II is
+//! declared `RegAllocFailed` — definitive, but not a proof, mirroring the
+//! SAT backend's cut budget.
 //!
-//! ## Cancellation
+//! ## The deadline
 //!
-//! Attempts honor [`SolveLimits`] with the same cadence as the SAT
-//! core: the stop flag and deadline are polled every
-//! [`satmapit_sat::LIMIT_POLL_INTERVAL`] search steps (assignments and
-//! dead-ends both count), so a caller can cancel a morph attempt as
-//! promptly as a SAT one.
+//! Attempts honor the [`SolveLimits`] deadline with the same cadence as
+//! the SAT core: it is polled every [`satmapit_sat::LIMIT_POLL_INTERVAL`]
+//! search steps (assignments and dead-ends both count), so a morph
+//! attempt ends as promptly as a SAT one when the deadline passes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,11 +62,8 @@ use std::time::Duration;
 /// [`satmapit_core::Mapper`], different search engine.
 ///
 /// Only the schedule-shaped configuration applies here — `max_ii`,
-/// `start_ii`, `timeout`, `slack`, `regalloc_budget`, `ra_cuts`. The
-/// SAT-specific knobs (`amo`, `solver`, `register_pressure`,
-/// `max_conflicts_per_ii` as a *conflict* budget —
-/// here it bounds search dead-ends) are ignored or reinterpreted as
-/// documented on [`PreparedMorph::attempt_ii`].
+/// `start_ii`, `timeout`, `slack`, `regalloc_budget`. The SAT-specific
+/// knobs (`amo`, `solver`, `register_pressure`) are ignored.
 #[derive(Debug, Clone)]
 pub struct MorphMapper<'a> {
     dfg: &'a Dfg,
@@ -219,10 +215,7 @@ impl<'a> PreparedMorph<'a> {
     ///
     /// The contract is [`satmapit_core::PreparedMapper::attempt_ii`]'s, term for term:
     /// `Err` only for an out-of-range II, a structural failure, an
-    /// internal inconsistency, or the deadline in `limits` expiring;
-    /// cooperative cancellation comes back as an `Ok` report with
-    /// `SolverBudget(Cancelled)`. `limits.max_conflicts` bounds search
-    /// dead-ends (the closest analogue of CDCL conflicts).
+    /// internal inconsistency, or the deadline in `limits` expiring.
     ///
     /// # Errors
     ///

@@ -25,14 +25,14 @@
 //! violation along incident edges, and every slot inside a newly closed
 //! cross-PE edge's output-register window; an emptied domain backtracks.
 //! Complete embeddings go to register allocation — a failure there is
-//! counted against [`MapperConfig::ra_cuts`](satmapit_core::MapperConfig)
+//! counted against [`satmapit_core::RA_CUT_BUDGET`]
 //! and the search resumes, exactly like the SAT backend's blocking cuts.
 //!
 //! Exhaustion with zero register-allocation failures is a **proof** of
 //! infeasibility (`Unsat`); with failures it is only a definitive
 //! give-up (`RegAllocFailed`), mirroring the SAT ladder's semantics.
 //!
-//! The stop flag and deadline in [`SolveLimits`] are polled every
+//! The deadline in [`SolveLimits`] is polled every
 //! [`LIMIT_POLL_INTERVAL`] search steps (decisions and dead-ends both
 //! count), the SAT core's cadence.
 
@@ -42,12 +42,12 @@ use satmapit_core::encoder::EncodeStats;
 use satmapit_core::filter::{self, Domains};
 use satmapit_core::{
     allocate_registers, validate_mapping, AttemptOutcome, AttemptReport, IiAttempt, MapFailure,
-    MappedLoop, Mapping, Placement, TransferKind,
+    MappedLoop, Mapping, Placement, TransferKind, RA_CUT_BUDGET,
 };
 use satmapit_dfg::{Dfg, NodeId};
 use satmapit_graphs::DiGraph;
 use satmapit_regalloc::RegAllocError;
-use satmapit_sat::{SolveLimits, SolverStats, StopReason, LIMIT_POLL_INTERVAL};
+use satmapit_sat::{SolveLimits, SolverStats, LIMIT_POLL_INTERVAL};
 use satmapit_schedule::Kms;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -77,8 +77,6 @@ struct Guard {
 
 /// Why the search stopped before exhausting the space.
 enum Halt {
-    Cancelled,
-    ConflictLimit,
     Deadline,
     RaBudget,
     Internal(String),
@@ -156,7 +154,6 @@ struct Search<'p> {
     queued: Vec<bool>,
     /// Open output-register windows of completed cross-PE edges.
     guards: Vec<Guard>,
-    ra_cut_budget: u32,
     regalloc_budget: u64,
     mii: u32,
     ra_failures: u32,
@@ -212,7 +209,6 @@ impl<'p> Search<'p> {
             queue: VecDeque::new(),
             queued: vec![false; dfg.num_nodes()],
             guards: Vec::new(),
-            ra_cut_budget: p.config.ra_cuts,
             regalloc_budget: p.config.regalloc_budget,
             mii: p.mii,
             ra_failures: 0,
@@ -246,19 +242,6 @@ impl<'p> Search<'p> {
 
     fn slot(&self, pe: usize, cycle: u32) -> usize {
         pe * self.ii as usize + cycle as usize
-    }
-
-    /// Uniform limit poll, same cadence as the SAT core.
-    fn poll(&self) -> Option<Halt> {
-        if self.limits.stop_requested() {
-            return Some(Halt::Cancelled);
-        }
-        if let Some(dl) = self.limits.deadline {
-            if Instant::now() >= dl {
-                return Some(Halt::Deadline);
-            }
-        }
-        None
     }
 
     /// Is `(pe, cycle)` inside the window of `guard` (excluding the
@@ -548,7 +531,7 @@ impl<'p> Search<'p> {
             Err(e) => {
                 self.ra_failures += 1;
                 self.last_ra_error = Some(e);
-                if self.ra_failures > self.ra_cut_budget {
+                if self.ra_failures > RA_CUT_BUDGET {
                     SearchResult::Halt(Halt::RaBudget)
                 } else {
                     // Keep searching: some other embedding may allocate.
@@ -568,10 +551,9 @@ impl<'p> Search<'p> {
             .collect();
         for ci in order {
             self.steps += 1;
-            if self.steps.is_multiple_of(LIMIT_POLL_INTERVAL) {
-                if let Some(h) = self.poll() {
-                    return SearchResult::Halt(h);
-                }
+            // Uniform deadline poll, same cadence as the SAT core.
+            if self.steps.is_multiple_of(LIMIT_POLL_INTERVAL) && self.limits.expired() {
+                return SearchResult::Halt(Halt::Deadline);
             }
             self.decisions += 1;
             let trail_mark = self.trail.len();
@@ -587,11 +569,6 @@ impl<'p> Search<'p> {
             }
             self.steps += 1;
             self.conflicts += 1;
-            if let Some(max) = self.limits.max_conflicts {
-                if self.conflicts >= max {
-                    return SearchResult::Halt(Halt::ConflictLimit);
-                }
-            }
         }
         SearchResult::Dead
     }
@@ -622,12 +599,6 @@ pub(crate) fn attempt(
     limits: &SolveLimits,
 ) -> Result<AttemptReport, MapFailure> {
     let t_ii = Instant::now();
-    // An already-raised stop flag makes the attempt moot; bail before
-    // paying for the KMS fold and domain construction (the search polls
-    // again on its own cadence).
-    if limits.stop_requested() {
-        return Ok(AttemptReport::cancelled(ii, t_ii.elapsed()));
-    }
     if p.proven_unmappable() {
         return Ok(AttemptReport::unmappable(ii, t_ii.elapsed()));
     }
@@ -684,18 +655,6 @@ pub(crate) fn attempt(
                 Some(s.solver_stats()),
             ))
         }
-        SearchResult::Halt(Halt::Cancelled) => Ok(report(
-            &s,
-            AttemptOutcome::SolverBudget(StopReason::Cancelled),
-            None,
-            Some(s.solver_stats()),
-        )),
-        SearchResult::Halt(Halt::ConflictLimit) => Ok(report(
-            &s,
-            AttemptOutcome::SolverBudget(StopReason::ConflictLimit),
-            None,
-            Some(s.solver_stats()),
-        )),
         SearchResult::Halt(Halt::Deadline) => Err(MapFailure::Timeout { at_ii: ii }),
         SearchResult::Halt(Halt::Internal(msg)) => Err(MapFailure::Internal(msg)),
     }

@@ -12,7 +12,7 @@
 //!   import/export,
 //! * [`Solver`] — the CDCL engine (watched literals, VSIDS + phase saving,
 //!   1-UIP learning with minimization, Luby restarts, clause-DB reduction,
-//!   assumptions, conflict/time budgets, and assumption-gated clause
+//!   assumptions, a wall-clock deadline, and assumption-gated clause
 //!   groups for incremental solving — see the [`solver`](Solver) module
 //!   docs for the activation-literal lifecycle and the
 //!   [`Solver::final_conflict`] failed-assumption-core contract),

@@ -106,7 +106,7 @@ fn check_solve(solver: &mut Solver, mirror: &Mirror, assumptions: &[Lit]) -> Res
                 }
             }
         }
-        SolveResult::Unknown(_) => unreachable!("no limits were set"),
+        SolveResult::Unknown => unreachable!("no limits were set"),
     }
     Ok(())
 }

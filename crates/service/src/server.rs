@@ -553,7 +553,7 @@ fn event_loop(inner: &Inner, listener: &TcpListener, waker: &Waker) -> io::Resul
         }
 
         // Stage + flush + interest upkeep, dropping finished conns.
-        let stopping = stop_requested(inner);
+        let stopping = shutting_down(inner);
         let mut dead: Vec<u64> = Vec::new();
         for (&token, conn) in &mut conns {
             if stopping {
@@ -609,7 +609,7 @@ fn event_loop(inner: &Inner, listener: &TcpListener, waker: &Waker) -> io::Resul
 }
 
 /// Reads the one-shot stop latch.
-fn stop_requested(inner: &Inner) -> bool {
+fn shutting_down(inner: &Inner) -> bool {
     // ordering: the latch is set on this same thread (shutdown request)
     // or not at all; Relaxed self-visibility is guaranteed.
     inner.stop.load(Ordering::Relaxed)
@@ -627,7 +627,7 @@ fn accept_ready(
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                if stop_requested(inner) {
+                if shutting_down(inner) {
                     // Late knockers during drain are turned away.
                     continue;
                 }
