@@ -475,16 +475,24 @@ impl Engine {
             return Ok(());
         }
         let sync = self.config.durability.sync_compaction;
+        // Each store's appender lock is taken first and held through the
+        // rewrite, but the live map's lock only while it is snapshotted:
+        // encoding and the write + fsync + rename run with the cache free
+        // for probes and inserts. An insert that lands after the snapshot
+        // appends through the same appender, so it waits here and goes to
+        // the compacted file.
         {
-            let cache = lock(&self.cache);
-            let mut payloads: Vec<(Fingerprint, Vec<u8>)> = cache
+            let mut appender = lock(&persist.results);
+            let mut live: Vec<(Fingerprint, Arc<EngineOutcome>)> = lock(&self.cache)
                 .iter()
-                .map(|(&key, entry)| (key, persist::encode_result_record(key, &entry.outcome)))
+                .map(|(&key, entry)| (key, Arc::clone(&entry.outcome)))
                 .collect();
             // Deterministic file contents: key order, not hash-map order.
-            payloads.sort_by_key(|(key, _)| *key);
-            let payloads: Vec<Vec<u8>> = payloads.into_iter().map(|(_, p)| p).collect();
-            let mut appender = lock(&persist.results);
+            live.sort_by_key(|(key, _)| *key);
+            let payloads: Vec<Vec<u8>> = live
+                .iter()
+                .map(|(key, outcome)| persist::encode_result_record(*key, outcome))
+                .collect();
             persist::rewrite(
                 &persist.dir.join(persist::RESULTS_FILE),
                 StoreKind::Results,
@@ -497,14 +505,16 @@ impl Engine {
                 Appender::open(&persist.dir.join(persist::RESULTS_FILE), StoreKind::Results)?;
         }
         {
-            let bounds = lock(&self.bounds);
-            let mut payloads: Vec<(Fingerprint, Vec<u8>)> = bounds
-                .iter()
-                .map(|(&key, &bound)| (key, persist::encode_bound_record(key, bound)))
-                .collect();
-            payloads.sort_by_key(|(key, _)| *key);
-            let payloads: Vec<Vec<u8>> = payloads.into_iter().map(|(_, p)| p).collect();
             let mut appender = lock(&persist.bounds);
+            let mut live: Vec<(Fingerprint, u32)> = lock(&self.bounds)
+                .iter()
+                .map(|(&key, &bound)| (key, bound))
+                .collect();
+            live.sort_by_key(|(key, _)| *key);
+            let payloads: Vec<Vec<u8>> = live
+                .iter()
+                .map(|&(key, bound)| persist::encode_bound_record(key, bound))
+                .collect();
             persist::rewrite(
                 &persist.dir.join(persist::BOUNDS_FILE),
                 StoreKind::Bounds,
@@ -578,17 +588,6 @@ impl Engine {
             cached: true,
             persistent,
         })
-    }
-
-    /// Whether `(dfg, cgra)` is currently memoized, *without* counting a
-    /// hit or touching the LRU clock. For admission controllers deciding
-    /// whether a tight-deadline request is worth queuing: a positive
-    /// probe here means the worker will answer from the cache in
-    /// microseconds, so shedding it would be wrong — while the eventual
-    /// serve still books its hit exactly once.
-    pub fn peek_cached(&self, dfg: &Dfg, cgra: &Cgra) -> bool {
-        let key = fingerprint(dfg, cgra, &self.config);
-        lock(&self.cache).contains_key(&key)
     }
 
     /// [`Engine::map`] with an optional wall-clock deadline for *this

@@ -8,7 +8,7 @@ use satmapit_dfg::{Dfg, Op};
 use satmapit_engine::{CacheLifecycle, Engine, EngineConfig};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// A unique, self-cleaning cache directory per test.
@@ -153,6 +153,46 @@ fn incremental_compaction_runs_between_appends_not_just_at_shutdown() {
         replay.load_warnings()
     );
     assert!(replay.cache_stats().persistent_entries >= 2);
+}
+
+/// Compaction rewrites the store without holding the cache lock, so
+/// inserts race it: every insert must still reach the disk — one that
+/// lands after the snapshot appends to the compacted file. Each insert
+/// runs against back-to-back compactions and is looked for on disk as
+/// soon as they stop, before a later compaction could rewrite it in.
+/// Any one insert rarely hits the window, hence many of them.
+#[test]
+fn inserts_racing_a_compaction_all_reach_the_store() {
+    let cells: Vec<(usize, Cgra)> = [Cgra::square(2), Cgra::new(1, 2), Cgra::new(2, 3)]
+        .into_iter()
+        .flat_map(|cgra| (2..14).map(move |n| (n, cgra.clone())))
+        .collect();
+    for round in 0..4 {
+        race_inserts_against_compactions(&TempDir::new(&format!("race-{round}")), &cells);
+    }
+}
+
+fn race_inserts_against_compactions(dir: &TempDir, cells: &[(usize, Cgra)]) {
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+    for (n, cgra) in cells {
+        let inserting = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while inserting.load(Ordering::Relaxed) {
+                    engine.compact_persistent().expect("compaction");
+                }
+            });
+            engine.map(&chain(*n), cgra);
+            inserting.store(false, Ordering::Relaxed);
+        });
+        let replay = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+        assert!(
+            replay.lookup_cached(&chain(*n), cgra).is_some(),
+            "chain{n}@{}x{} never reached the store",
+            cgra.rows(),
+            cgra.cols()
+        );
+    }
 }
 
 #[test]

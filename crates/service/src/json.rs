@@ -2,7 +2,9 @@
 //!
 //! The build environment is offline (the workspace's `serde` is a marker
 //! stand-in), so the service speaks JSON through this module: a value
-//! tree, a strict parser, and a deterministic writer. Design points:
+//! tree, a deterministic writer, and one strict lexer — the borrowing
+//! pull [`Reader`] — under both [`parse`] (which builds a tree) and the
+//! wire decoder (which builds requests without one). Design points:
 //!
 //! * **Integers are exact.** Numbers without fraction/exponent parse into
 //!   `i64` (or `u64` via [`Json::as_u64`]) and print without a decimal
@@ -12,7 +14,10 @@
 //!   so encoding is deterministic and responses diff cleanly.
 //! * **Strict parsing**: trailing garbage, unterminated strings, control
 //!   characters in strings, and depth bombs are errors, not surprises.
+//! * **Borrowed text**: the reader hands out keys and escape-free strings
+//!   as slices of the input; only escaped strings allocate.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON document.
@@ -183,29 +188,250 @@ impl std::error::Error for JsonError {}
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut reader = Reader::new(input);
+    let first = reader.event()?;
+    let value = reader.tree(first)?;
+    reader.finish()?;
     Ok(value)
 }
 
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// One step of a [`Reader`]'s walk through a document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event<'a> {
+    /// `{`: the object's keys follow, then [`Event::ObjectEnd`].
+    ObjectStart,
+    /// `}`.
+    ObjectEnd,
+    /// `[`: the array's values follow, then [`Event::ArrayEnd`].
+    ArrayStart,
+    /// `]`.
+    ArrayEnd,
+    /// An object key; the next event starts its value.
+    Key(Cow<'a, str>),
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number with no fractional part, kept exact.
+    Int(i64),
+    /// A number with a fraction or exponent.
+    Float(f64),
+    /// A string value.
+    Str(Cow<'a, str>),
 }
 
-impl<'a> Parser<'a> {
+/// What the grammar allows at the reader's position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    /// A value: the document start, or after a key's `:`.
+    Value,
+    /// `]` or the first value of an array.
+    FirstItem,
+    /// `}` or the first key of an object.
+    FirstKey,
+    /// `,` or the enclosing container's closer; the end of the document
+    /// at depth 0.
+    Separator,
+}
+
+/// A borrowing pull parser: yields a document one [`Event`] at a time,
+/// with the same strictness, depth cap and error offsets as [`parse`]
+/// (which is a tree builder on top of it). Keys and strings without
+/// escapes borrow from the input; only escaped ones allocate.
+///
+/// ```
+/// use satmapit_service::json::{Event, Reader};
+///
+/// let mut reader = Reader::new(r#"{"op":"health","pad":[1,2]}"#);
+/// assert_eq!(reader.event().unwrap(), Event::ObjectStart);
+/// assert_eq!(reader.next_key().unwrap().as_deref(), Some("op"));
+/// assert_eq!(reader.event().unwrap(), Event::Str("health".into()));
+/// assert_eq!(reader.next_key().unwrap().as_deref(), Some("pad"));
+/// reader.skip_value().unwrap();
+/// assert_eq!(reader.next_key().unwrap(), None);
+/// reader.finish().unwrap();
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    input: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Open containers.
+    depth: usize,
+    /// Bit `d` is set when the container opened at depth `d` is an
+    /// object. The depth cap keeps `d` below 128.
+    objects: u128,
+    expect: Expect,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a str) -> Reader<'a> {
+        Reader {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+            objects: 0,
+            expect: Expect::Value,
+        }
+    }
+
+    /// The number of containers currently open.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// The next event. After an error the reader's state is unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON at the reader's position, or a read past the end of
+    /// the document.
+    pub fn event(&mut self) -> Result<Event<'a>, JsonError> {
+        self.skip_ws();
+        match self.expect {
+            Expect::Value => self.value(),
+            Expect::FirstItem if self.peek() == Some(b']') => Ok(self.close(Event::ArrayEnd)),
+            Expect::FirstItem => self.value(),
+            Expect::FirstKey if self.peek() == Some(b'}') => Ok(self.close(Event::ObjectEnd)),
+            Expect::FirstKey => self.key(),
+            Expect::Separator if self.depth == 0 => {
+                Err(self.err("read past the end of the document"))
+            }
+            Expect::Separator => {
+                let object = (self.objects >> (self.depth - 1)) & 1 == 1;
+                match (self.peek(), object) {
+                    (Some(b','), _) => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        if object {
+                            self.key()
+                        } else {
+                            self.value()
+                        }
+                    }
+                    (Some(b']'), false) => Ok(self.close(Event::ArrayEnd)),
+                    (Some(b'}'), true) => Ok(self.close(Event::ObjectEnd)),
+                    (_, false) => Err(self.err("expected `,` or `]`")),
+                    (_, true) => Err(self.err("expected `,` or `}`")),
+                }
+            }
+        }
+    }
+
+    /// Inside an object: the next key, or `None` once the object has
+    /// closed.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, or a reader that is not between an object's
+    /// members.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        match self.event()? {
+            Event::Key(key) => Ok(Some(key)),
+            Event::ObjectEnd => Ok(None),
+            _ => Err(self.err("expected an object member")),
+        }
+    }
+
+    /// Inside an array: the first event of the next value, or `None` once
+    /// the array has closed.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON.
+    pub fn next_item(&mut self) -> Result<Option<Event<'a>>, JsonError> {
+        match self.event()? {
+            Event::ArrayEnd => Ok(None),
+            first => Ok(Some(first)),
+        }
+    }
+
+    /// Reads the rest of the value that began with `first`; a scalar is
+    /// already complete.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON inside the value.
+    pub fn skip(&mut self, first: &Event<'a>) -> Result<(), JsonError> {
+        match first {
+            Event::ObjectStart | Event::ArrayStart => self.skip_to(self.depth - 1),
+            _ => Ok(()),
+        }
+    }
+
+    /// Reads and discards one whole value.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON inside the value.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        let first = self.event()?;
+        self.skip(&first)
+    }
+
+    /// Reads events until no more than `depth` containers are open — from
+    /// anywhere inside a value, back out to its end.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON on the way.
+    pub fn skip_to(&mut self, depth: usize) -> Result<(), JsonError> {
+        while self.depth > depth {
+            self.event()?;
+        }
+        Ok(())
+    }
+
+    /// Builds the tree of the value that began with `first`.
+    fn tree(&mut self, first: Event<'a>) -> Result<Json, JsonError> {
+        Ok(match first {
+            Event::Null => Json::Null,
+            Event::Bool(b) => Json::Bool(b),
+            Event::Int(v) => Json::Int(v),
+            Event::Float(v) => Json::Float(v),
+            Event::Str(s) => Json::Str(s.into_owned()),
+            Event::ArrayStart => {
+                let mut items = Vec::new();
+                while let Some(first) = self.next_item()? {
+                    items.push(self.tree(first)?);
+                }
+                Json::Arr(items)
+            }
+            Event::ObjectStart => {
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let first = self.event()?;
+                    pairs.push((key.into_owned(), self.tree(first)?));
+                }
+                Json::Obj(pairs)
+            }
+            Event::ObjectEnd | Event::ArrayEnd | Event::Key(_) => {
+                return Err(self.err("expected a value"))
+            }
+        })
+    }
+
+    /// Checks that the document is complete: one whole value, then only
+    /// whitespace.
+    ///
+    /// # Errors
+    ///
+    /// An unfinished value, or trailing characters after the document.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        if self.depth > 0 || self.expect != Expect::Separator {
+            return Err(self.err("unexpected end of input"));
+        }
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -232,150 +458,139 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &str, event: Event<'a>) -> Result<Event<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(event)
         } else {
             Err(self.err(&format!("expected `{word}`")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Opens a container at the current depth.
+    fn open(&mut self, object: bool, event: Event<'a>) -> Event<'a> {
+        self.objects &= !(1 << self.depth);
+        self.objects |= u128::from(object) << self.depth;
+        self.depth += 1;
+        self.pos += 1;
+        self.expect = if object {
+            Expect::FirstKey
+        } else {
+            Expect::FirstItem
+        };
+        event
+    }
+
+    /// Consumes the closer of the innermost container.
+    fn close(&mut self, event: Event<'a>) -> Event<'a> {
+        self.depth -= 1;
+        self.pos += 1;
+        self.expect = Expect::Separator;
+        event
+    }
+
+    fn key(&mut self) -> Result<Event<'a>, JsonError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.expect = Expect::Value;
+        Ok(Event::Key(key))
+    }
+
+    fn value(&mut self) -> Result<Event<'a>, JsonError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
+        self.expect = Expect::Separator;
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
-                self.depth += 1;
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            self.depth -= 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.depth += 1;
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let value = self.value()?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            self.depth -= 1;
-                            return Ok(Json::Obj(pairs));
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
-            }
+            Some(b'n') => self.literal("null", Event::Null),
+            Some(b't') => self.literal("true", Event::Bool(true)),
+            Some(b'f') => self.literal("false", Event::Bool(false)),
+            Some(b'"') => Ok(Event::Str(self.string()?)),
+            Some(b'[') => Ok(self.open(false, Event::ArrayStart)),
+            Some(b'{') => Ok(self.open(true, Event::ObjectStart)),
             Some(_) => self.number(),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
             let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
+            // Fast path: a run of plain bytes at once. We only stop at
+            // ASCII delimiters, so both ends are char boundaries.
             while let Some(b) = self.peek() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                // The input is valid UTF-8 (it is a &str) and we only
-                // stopped at ASCII delimiters, so the slice is valid too.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-            }
+            let run = &self.input[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        // No escape seen: borrow the whole string.
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = out.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.pos += 1;
-                            let first = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: require the paired low.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let second = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&second) {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    let combined =
-                                        0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&first) {
-                                return Err(self.err("unpaired surrogate"));
-                            } else {
-                                char::from_u32(first)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
+                            out.push(self.unicode_escape()?);
                             continue; // hex4 already advanced pos
                         }
                         _ => return Err(self.err("invalid escape")),
-                    }
+                    };
+                    out.push(c);
                     self.pos += 1;
                 }
                 Some(_) => return Err(self.err("control character in string")),
             }
         }
+    }
+
+    /// The character of a `\u` escape whose `\u` has been consumed.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let first = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&first) {
+            // High surrogate: require the paired low.
+            if self.bytes[self.pos..].starts_with(b"\\u") {
+                self.pos += 2;
+                let second = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&second) {
+                    return Err(self.err("unpaired surrogate"));
+                }
+                let combined = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
+                char::from_u32(combined)
+            } else {
+                return Err(self.err("unpaired surrogate"));
+            }
+        } else if (0xDC00..0xE000).contains(&first) {
+            return Err(self.err("unpaired surrogate"));
+        } else {
+            char::from_u32(first)
+        };
+        c.ok_or_else(|| self.err("invalid \\u escape"))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -397,7 +612,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Event<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -420,16 +635,16 @@ impl<'a> Parser<'a> {
             }
             self.digits()?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.input[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
-                return Ok(Json::Int(v));
+                return Ok(Event::Int(v));
             }
             // Out-of-i64-range integers degrade to float rather than error
             // (JSON places no bound; we keep the closest representable).
         }
         text.parse::<f64>()
-            .map(Json::Float)
+            .map(Event::Float)
             .map_err(|_| self.err("invalid number"))
     }
 

@@ -12,7 +12,12 @@
 //!   pipelined `map` requests resolve out of order internally but
 //!   their responses are sequenced per connection; concurrency comes
 //!   from multiple connections;
-//! * `map` requests are **admitted** into a bounded
+//! * every `map` is decoded in one pass over its bytes
+//!   ([`wire::parse_request`]) and **probed against the result cache on
+//!   the loop** ([`Engine::lookup_cached`], the daemon's one probe
+//!   site): a hit is answered in place with `queue_us: 0` — a
+//!   fingerprint and one map lookup, no worker hand-off;
+//! * a miss is **admitted** into a bounded
 //!   earliest-deadline-first queue — a full queue answers `queue full`
 //!   immediately (backpressure) instead of buffering unboundedly, and
 //!   a deadlined request whose remaining budget is provably below the
@@ -27,11 +32,11 @@
 //!   shutdown hack is gone;
 //! * per-request `timeout_ms` becomes a wall-clock deadline at
 //!   admission and is mapped onto the solver's `SolveLimits` through
-//!   [`Engine::map_with_deadline`]; a deadline that is *already
-//!   expired* at admission (`timeout_ms: 0`) is answered immediately
-//!   instead of wasting a queue slot and a worker wakeup — with the
-//!   cached result when one exists (matching the engine, which checks
-//!   the cache before the clock), and a timeout response otherwise;
+//!   [`Engine::map_with_deadline`]; a miss whose deadline is *already
+//!   expired* at admission (`timeout_ms: 0`) is answered with a timeout
+//!   immediately instead of wasting a queue slot and a worker wakeup (a
+//!   hit was already served by the probe, matching the engine, which
+//!   checks the cache before the clock);
 //! * a request line longer than [`ServerConfig::max_line_bytes`] is
 //!   answered with an `error` and the connection is closed — a client
 //!   streaming bytes without `\n` can no longer grow server memory
@@ -51,7 +56,7 @@
 
 use crate::json::Json;
 use crate::wire::{self, MapRequest, Request};
-use satmapit_engine::{Engine, EngineConfig};
+use satmapit_engine::{Engine, EngineConfig, Served};
 use satmapit_net::{Event, Interest, LineConn, LineError, Poller, Token, Waker};
 use satmapit_obs as obs;
 use satmapit_obs::Histogram;
@@ -282,8 +287,9 @@ struct Inner {
     /// Solves that panicked and were answered with an `error` response
     /// instead of taking the daemon down.
     panics: AtomicU64,
-    /// Requests answered with an immediate timeout at admission because
-    /// their deadline had already expired (`timeout_ms: 0`).
+    /// `map` requests whose deadline had already expired at admission
+    /// (`timeout_ms: 0`), whether the cache answered them or a timeout
+    /// did.
     expired_at_admission: AtomicU64,
     /// Request-line cap (see [`ServerConfig::max_line_bytes`]).
     max_line_bytes: usize,
@@ -756,15 +762,16 @@ fn dispatch_line(
 
 /// Outcome of admitting a `map` request.
 enum Admission {
-    /// Answered on the spot (expired deadline, shed, or queue full).
+    /// Answered on the spot (cache hit, expired deadline, shed, or queue
+    /// full).
     Immediate(Json),
     /// In the queue; a worker completion will fill the slot.
     Queued,
 }
 
-/// Admission control for `map`: expired deadlines answer immediately,
-/// provably-hopeless deadlines are shed, a full queue rejects, and
-/// everything else enters the EDF queue.
+/// Admission control for `map`: a cached answer is served on the loop,
+/// expired deadlines answer immediately, provably-hopeless deadlines are
+/// shed, a full queue rejects, and everything else enters the EDF queue.
 fn admit_map(
     inner: &Inner,
     request: MapRequest,
@@ -772,47 +779,42 @@ fn admit_map(
     slot: u64,
     next_seq: &mut u64,
 ) -> Admission {
+    let admitted = Instant::now();
     let deadline = request
         .timeout_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let id = request.id;
+        .map(|ms| admitted + Duration::from_millis(ms));
     // A deadline already expired at admission (`timeout_ms: 0`, or a
-    // degenerate clock) can only ever produce a timeout *for a cold
-    // problem* — answering it here saves the queue slot, the worker
-    // wakeup, and the client's wait behind real work. A cached answer
-    // is still served (the engine's own deadline handling checks the
-    // cache before the clock, and "answer only if you have it already"
-    // is exactly what a zero budget requests).
-    if deadline.is_some_and(|d| Instant::now() >= d) {
+    // degenerate clock) is counted whether or not the cache answers it.
+    let expired = deadline.is_some_and(|d| admitted >= d);
+    if expired {
         // ordering: monotone telemetry counter.
         inner.expired_at_admission.fetch_add(1, Ordering::Relaxed);
-        let response = match inner.engine.lookup_cached(&request.dfg, &request.cgra) {
-            Some(served) => wire::map_response(
-                id,
-                &request.name,
-                served.key,
-                &served.outcome,
-                served.cached,
-                served.persistent,
-                0,
-                0,
-            ),
-            None => expired_response(inner, &request),
-        };
+    }
+    // The daemon's one cache probe. A hit costs a fingerprint and one map
+    // lookup, so it is answered right here, never queued: no worker
+    // wakeup, no completion hand-off, and never shed or timed out ("answer
+    // only if you have it already" is exactly what a zero budget asks).
+    if let Some(response) = serve_cached(inner, &request) {
         return Admission::Immediate(response);
     }
+    // A miss with an expired deadline can only ever produce a timeout:
+    // answering it here saves the queue slot, the worker wakeup, and the
+    // client's wait behind real work.
+    if expired {
+        return Admission::Immediate(expired_response(inner, &request));
+    }
+    let id = request.id;
     // EDF shedding: once the solved-latency histogram has enough
     // samples to be trusted, a cold request whose remaining budget is
     // below the observed median solve time is refused now instead of
     // queued to fail later — the queue slot goes to a request that can
-    // still make its deadline. Cached answers are never shed (they
-    // cost microseconds regardless of budget).
+    // still make its deadline.
     if let (Some(d), Some(estimate_us)) = (deadline, shed_estimate_us(inner)) {
         let remaining_us = d
             .saturating_duration_since(Instant::now())
             .as_micros()
             .min(u128::from(u64::MAX)) as u64;
-        if remaining_us < estimate_us && !inner.engine.peek_cached(&request.dfg, &request.cgra) {
+        if remaining_us < estimate_us {
             // ordering: monotone telemetry counter.
             inner.shed.fetch_add(1, Ordering::Relaxed);
             return Admission::Immediate(wire::error_response(
@@ -847,6 +849,61 @@ fn admit_map(
     drop(queue);
     inner.queue_cv.notify_one();
     Admission::Queued
+}
+
+/// Answers `request` from the result cache on the event loop, or `None`
+/// on a miss. A hit reports `queue_us: 0` and records its latency class
+/// and `request` span exactly as a worker-served answer does.
+fn serve_cached(inner: &Inner, request: &MapRequest) -> Option<Json> {
+    let traced_from = obs::trace::enabled().then(obs::trace::now_us);
+    let t0 = Instant::now();
+    let served = inner.engine.lookup_cached(&request.dfg, &request.cgra)?;
+    let elapsed_us = t0.elapsed().as_micros() as u64;
+    let (class, hist) = latency_class(&inner.latency, &served);
+    record_us(hist, elapsed_us);
+    let response = wire::map_response(
+        request.id,
+        &request.name,
+        served.key,
+        &served.outcome,
+        served.cached,
+        served.persistent,
+        elapsed_us,
+        0,
+    );
+    if let Some(ts_us) = traced_from {
+        obs::trace::complete(
+            obs::trace::Category::Request,
+            &format!("request {}", request.name),
+            ts_us,
+            obs::trace::now_us().saturating_sub(ts_us),
+            vec![
+                ("queue_us", obs::trace::ArgValue::Int(0)),
+                ("class", obs::trace::ArgValue::Str(class.to_string())),
+            ],
+        );
+    }
+    Some(response)
+}
+
+/// The latency class an engine answer lands in, and its histogram.
+fn latency_class<'a>(
+    latency: &'a Latency,
+    served: &Served,
+) -> (&'static str, &'a Mutex<Histogram>) {
+    let timed_out = matches!(
+        served.outcome.outcome.result,
+        Err(satmapit_core::MapFailure::Timeout { .. })
+    );
+    if served.persistent {
+        ("persistent_hit", &latency.persistent_hit)
+    } else if served.cached {
+        ("memory_hit", &latency.memory_hit)
+    } else if timed_out {
+        ("timeout", &latency.timeout)
+    } else {
+        ("solved", &latency.solved)
+    }
 }
 
 /// The admission controller's solve-time estimate: the median of the
@@ -947,19 +1004,7 @@ fn worker_loop(inner: &Inner, waker: &Waker) {
         let elapsed_us = elapsed.as_micros() as u64;
         let response = match solved {
             Ok(served) => {
-                let timed_out = matches!(
-                    served.outcome.outcome.result,
-                    Err(satmapit_core::MapFailure::Timeout { .. })
-                );
-                let (class, hist) = if served.persistent {
-                    ("persistent_hit", &inner.latency.persistent_hit)
-                } else if served.cached {
-                    ("memory_hit", &inner.latency.memory_hit)
-                } else if timed_out {
-                    ("timeout", &inner.latency.timeout)
-                } else {
-                    ("solved", &inner.latency.solved)
-                };
+                let (class, hist) = latency_class(&inner.latency, &served);
                 record_us(hist, elapsed_us);
                 if let Some(span) = &mut span {
                     span.arg("queue_us", queue_us as i64);

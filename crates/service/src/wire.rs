@@ -8,11 +8,12 @@
 //! round-trip fidelity over arbitrary inputs is pinned by proptests in
 //! `tests/wire_roundtrip.rs`.
 
-use crate::json::Json;
+use crate::json::{Event, Json, JsonError, Reader};
 use satmapit_cgra::{Cgra, MemoryPolicy, Topology};
 use satmapit_core::{AttemptOutcome, MapFailure};
 use satmapit_dfg::{Dfg, Op};
 use satmapit_engine::EngineOutcome;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A malformed wire document: what was wrong, in one line.
@@ -141,35 +142,127 @@ fn memory_policy_from_name(name: &str) -> Option<MemoryPolicy> {
 }
 
 // ---------------------------------------------------------------------------
-// Field helpers
+// Decoding helpers
 // ---------------------------------------------------------------------------
 
-fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, WireError> {
-    value
-        .get(key)
-        .ok_or_else(|| WireError::new(format!("missing field `{key}`")))
+/// Why a document failed to decode: it is not JSON at all, or it is JSON
+/// that does not describe what was asked for.
+enum Fault {
+    Json(JsonError),
+    Wire(WireError),
 }
 
-fn u64_field(value: &Json, key: &str) -> Result<u64, WireError> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| WireError::new(format!("field `{key}` must be a non-negative integer")))
+impl From<JsonError> for Fault {
+    fn from(e: JsonError) -> Fault {
+        Fault::Json(e)
+    }
 }
 
-fn i64_field(value: &Json, key: &str) -> Result<i64, WireError> {
-    field(value, key)?
-        .as_i64()
-        .ok_or_else(|| WireError::new(format!("field `{key}` must be an integer")))
+impl From<WireError> for Fault {
+    fn from(e: WireError) -> Fault {
+        Fault::Wire(e)
+    }
 }
 
-fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| WireError::new(format!("field `{key}` must be a string")))
+type Decoded<T> = Result<T, Fault>;
+
+fn bad_json(e: JsonError) -> WireError {
+    WireError::new(format!("bad JSON: {e}"))
+}
+
+fn missing(key: &str) -> WireError {
+    WireError::new(format!("missing field `{key}`"))
+}
+
+/// Decodes all of `text` with `decode`, in one pass. The document is read
+/// to its end either way, and malformed JSON is reported ahead of any
+/// semantic error.
+fn decode_document<'a, T>(
+    text: &'a str,
+    decode: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
+) -> Result<T, WireError> {
+    let mut reader = Reader::new(text);
+    let decoded = settle(&mut reader, decode).map_err(bad_json)?;
+    reader.finish().map_err(bad_json)?;
+    decoded
+}
+
+/// Runs `decode` over the value at the reader. A semantic error comes
+/// back as the inner `Err` once the rest of that value has been read, so
+/// the caller keeps checking the document's syntax and decides later
+/// whether the error matters (a `dfg` member only does for a `map`).
+fn settle<'a, T>(
+    reader: &mut Reader<'a>,
+    decode: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
+) -> Result<Result<T, WireError>, JsonError> {
+    let depth = reader.depth();
+    match decode(reader) {
+        Ok(value) => Ok(Ok(value)),
+        Err(Fault::Json(e)) => Err(e),
+        Err(Fault::Wire(e)) => reader.skip_to(depth).map(|()| Err(e)),
+    }
+}
+
+/// Reads one value: an integer, or `None` for any other value.
+fn int_value(reader: &mut Reader<'_>) -> Result<Option<i64>, JsonError> {
+    match reader.event()? {
+        Event::Int(v) => Ok(Some(v)),
+        other => reader.skip(&other).map(|()| None),
+    }
+}
+
+/// Reads one value: a string, or `None` for any other value.
+fn str_value<'a>(reader: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    match reader.event()? {
+        Event::Str(s) => Ok(Some(s)),
+        other => reader.skip(&other).map(|()| None),
+    }
+}
+
+fn i64_field(reader: &mut Reader<'_>, key: &str) -> Decoded<i64> {
+    int_value(reader)?
+        .ok_or_else(|| WireError::new(format!("field `{key}` must be an integer")).into())
+}
+
+fn u64_field(reader: &mut Reader<'_>, key: &str) -> Decoded<u64> {
+    int_value(reader)?
+        .and_then(|v| u64::try_from(v).ok())
+        .ok_or_else(|| {
+            WireError::new(format!("field `{key}` must be a non-negative integer")).into()
+        })
+}
+
+fn str_field<'a>(reader: &mut Reader<'a>, key: &str) -> Decoded<Cow<'a, str>> {
+    str_value(reader)?
+        .ok_or_else(|| WireError::new(format!("field `{key}` must be a string")).into())
 }
 
 fn narrow<T: TryFrom<u64>>(v: u64, key: &str) -> Result<T, WireError> {
     T::try_from(v).map_err(|_| WireError::new(format!("field `{key}` out of range")))
+}
+
+/// Checks that a value whose first event is `first` is an object.
+fn object(first: &Event<'_>, what: &str) -> Result<(), WireError> {
+    match first {
+        Event::ObjectStart => Ok(()),
+        _ => Err(WireError::new(format!("`{what}` must be an object"))),
+    }
+}
+
+/// Reads an array, decoding each item from its first event.
+fn array<'a, T>(
+    reader: &mut Reader<'a>,
+    what: &str,
+    mut item: impl FnMut(&mut Reader<'a>, Event<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    if reader.event()? != Event::ArrayStart {
+        return Err(WireError::new(format!("`{what}` must be an array")).into());
+    }
+    let mut items = Vec::new();
+    while let Some(first) = reader.next_item()? {
+        items.push(item(reader, first)?);
+    }
+    Ok(items)
 }
 
 // ---------------------------------------------------------------------------
@@ -210,37 +303,54 @@ pub fn dfg_to_json(dfg: &Dfg) -> Json {
 }
 
 /// Decodes a DFG written by [`dfg_to_json`] (or hand-written in the same
-/// shape). Edge endpoints are bounds-checked here — a malformed document
-/// is an error, never a panic.
-pub fn dfg_from_json(value: &Json) -> Result<Dfg, WireError> {
-    let name = str_field(value, "name")?;
-    let mut dfg = Dfg::new(name);
-    let nodes = field(value, "nodes")?
-        .as_arr()
-        .ok_or_else(|| WireError::new("`nodes` must be an array"))?;
-    for node in nodes {
-        let op_str = str_field(node, "op")?;
-        let op =
-            op_from_name(op_str).ok_or_else(|| WireError::new(format!("unknown op `{op_str}`")))?;
-        let imm = i64_field(node, "imm")?;
-        let label = str_field(node, "label")?;
+/// shape). Members may come in any order, unknown ones are skipped and
+/// the first of duplicate keys wins. Edge endpoints are bounds-checked
+/// once the object closes — a malformed document is an error, never a
+/// panic.
+pub fn dfg_from_str(text: &str) -> Result<Dfg, WireError> {
+    decode_document(text, decode_dfg)
+}
+
+/// One `edges` entry, its endpoints not yet checked against the nodes.
+struct EdgeDoc {
+    src: u64,
+    dst: u64,
+    operand: u8,
+    distance: u32,
+    init: i64,
+}
+
+fn decode_dfg(reader: &mut Reader<'_>) -> Decoded<Dfg> {
+    object(&reader.event()?, "dfg")?;
+    let (mut name, mut nodes, mut edges) = (None, None, None);
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "name" if name.is_none() => name = Some(str_field(reader, "name")?),
+            "nodes" if nodes.is_none() => nodes = Some(array(reader, "nodes", decode_node)?),
+            "edges" if edges.is_none() => edges = Some(array(reader, "edges", decode_edge)?),
+            _ => reader.skip_value()?,
+        }
+    }
+    let mut dfg = Dfg::new(name.ok_or_else(|| missing("name"))?);
+    let nodes = nodes.ok_or_else(|| missing("nodes"))?;
+    let count = nodes.len() as u64;
+    for (op, imm, label) in nodes {
         dfg.add_node_labeled(op, imm, label);
     }
-    let edges = field(value, "edges")?
-        .as_arr()
-        .ok_or_else(|| WireError::new("`edges` must be an array"))?;
-    for edge in edges {
-        let src = u64_field(edge, "src")?;
-        let dst = u64_field(edge, "dst")?;
-        if src >= nodes.len() as u64 || dst >= nodes.len() as u64 {
+    for EdgeDoc {
+        src,
+        dst,
+        operand,
+        distance,
+        init,
+    } in edges.ok_or_else(|| missing("edges"))?
+    {
+        if src >= count || dst >= count {
             return Err(WireError::new(format!(
-                "edge {src}->{dst} references a node outside 0..{}",
-                nodes.len()
-            )));
+                "edge {src}->{dst} references a node outside 0..{count}"
+            ))
+            .into());
         }
-        let operand: u8 = narrow(u64_field(edge, "operand")?, "operand")?;
-        let distance: u32 = narrow(u64_field(edge, "distance")?, "distance")?;
-        let init = i64_field(edge, "init")?;
         // `add_back_edge` is the general constructor: it stores distance
         // and init verbatim (distance 0 = intra-iteration), which keeps
         // the decode structurally equal to the encoded graph.
@@ -253,6 +363,56 @@ pub fn dfg_from_json(value: &Json) -> Result<Dfg, WireError> {
         );
     }
     Ok(dfg)
+}
+
+fn decode_node<'a>(reader: &mut Reader<'a>, first: Event<'a>) -> Decoded<(Op, i64, String)> {
+    object(&first, "node")?;
+    let (mut op, mut imm, mut label) = (None, None, None);
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "op" if op.is_none() => {
+                let name = str_field(reader, "op")?;
+                op = Some(
+                    op_from_name(&name)
+                        .ok_or_else(|| WireError::new(format!("unknown op `{name}`")))?,
+                );
+            }
+            "imm" if imm.is_none() => imm = Some(i64_field(reader, "imm")?),
+            "label" if label.is_none() => label = Some(str_field(reader, "label")?),
+            _ => reader.skip_value()?,
+        }
+    }
+    Ok((
+        op.ok_or_else(|| missing("op"))?,
+        imm.ok_or_else(|| missing("imm"))?,
+        label.ok_or_else(|| missing("label"))?.into_owned(),
+    ))
+}
+
+fn decode_edge<'a>(reader: &mut Reader<'a>, first: Event<'a>) -> Decoded<EdgeDoc> {
+    object(&first, "edge")?;
+    let (mut src, mut dst, mut operand, mut distance, mut init) = (None, None, None, None, None);
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "src" if src.is_none() => src = Some(u64_field(reader, "src")?),
+            "dst" if dst.is_none() => dst = Some(u64_field(reader, "dst")?),
+            "operand" if operand.is_none() => {
+                operand = Some(narrow(u64_field(reader, "operand")?, "operand")?);
+            }
+            "distance" if distance.is_none() => {
+                distance = Some(narrow(u64_field(reader, "distance")?, "distance")?);
+            }
+            "init" if init.is_none() => init = Some(i64_field(reader, "init")?),
+            _ => reader.skip_value()?,
+        }
+    }
+    Ok(EdgeDoc {
+        src: src.ok_or_else(|| missing("src"))?,
+        dst: dst.ok_or_else(|| missing("dst"))?,
+        operand: operand.ok_or_else(|| missing("operand"))?,
+        distance: distance.ok_or_else(|| missing("distance"))?,
+        init: init.ok_or_else(|| missing("init"))?,
+    })
 }
 
 /// Encodes a CGRA instance.
@@ -274,36 +434,51 @@ pub fn cgra_to_json(cgra: &Cgra) -> Json {
 
 /// Decodes a CGRA written by [`cgra_to_json`]. Missing `topology`,
 /// `regs_per_pe` or `memory_policy` fall back to the paper's defaults.
-pub fn cgra_from_json(value: &Json) -> Result<Cgra, WireError> {
-    let rows: u16 = narrow(u64_field(value, "rows")?, "rows")?;
-    let cols: u16 = narrow(u64_field(value, "cols")?, "cols")?;
+pub fn cgra_from_str(text: &str) -> Result<Cgra, WireError> {
+    decode_document(text, decode_cgra)
+}
+
+fn decode_cgra(reader: &mut Reader<'_>) -> Decoded<Cgra> {
+    object(&reader.event()?, "cgra")?;
+    let (mut rows, mut cols, mut topology, mut regs, mut policy) = (None, None, None, None, None);
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "rows" if rows.is_none() => rows = Some(narrow(u64_field(reader, "rows")?, "rows")?),
+            "cols" if cols.is_none() => cols = Some(narrow(u64_field(reader, "cols")?, "cols")?),
+            "topology" if topology.is_none() => {
+                let name = str_field(reader, "topology")?;
+                topology = Some(
+                    topology_from_name(&name)
+                        .ok_or_else(|| WireError::new(format!("unknown topology `{name}`")))?,
+                );
+            }
+            "regs_per_pe" if regs.is_none() => {
+                regs = Some(narrow(u64_field(reader, "regs_per_pe")?, "regs_per_pe")?);
+            }
+            "memory_policy" if policy.is_none() => {
+                let name = str_field(reader, "memory_policy")?;
+                policy =
+                    Some(memory_policy_from_name(&name).ok_or_else(|| {
+                        WireError::new(format!("unknown memory policy `{name}`"))
+                    })?);
+            }
+            _ => reader.skip_value()?,
+        }
+    }
+    let rows: u16 = rows.ok_or_else(|| missing("rows"))?;
+    let cols: u16 = cols.ok_or_else(|| missing("cols"))?;
     if rows == 0 || cols == 0 {
-        return Err(WireError::new("CGRA dimensions must be positive"));
+        return Err(WireError::new("CGRA dimensions must be positive").into());
     }
     let mut cgra = Cgra::new(rows, cols);
-    if let Some(t) = value.get("topology") {
-        let name = t
-            .as_str()
-            .ok_or_else(|| WireError::new("`topology` must be a string"))?;
-        cgra = cgra.with_topology(
-            topology_from_name(name)
-                .ok_or_else(|| WireError::new(format!("unknown topology `{name}`")))?,
-        );
+    if let Some(topology) = topology {
+        cgra = cgra.with_topology(topology);
     }
-    if let Some(r) = value.get("regs_per_pe") {
-        let regs = r
-            .as_u64()
-            .ok_or_else(|| WireError::new("`regs_per_pe` must be a non-negative integer"))?;
-        cgra = cgra.with_regs_per_pe(narrow(regs, "regs_per_pe")?);
+    if let Some(regs) = regs {
+        cgra = cgra.with_regs_per_pe(regs);
     }
-    if let Some(p) = value.get("memory_policy") {
-        let name = p
-            .as_str()
-            .ok_or_else(|| WireError::new("`memory_policy` must be a string"))?;
-        cgra = cgra.with_memory_policy(
-            memory_policy_from_name(name)
-                .ok_or_else(|| WireError::new(format!("unknown memory policy `{name}`")))?,
-        );
+    if let Some(policy) = policy {
+        cgra = cgra.with_memory_policy(policy);
     }
     Ok(cgra)
 }
@@ -362,39 +537,62 @@ pub enum Request {
     Shutdown,
 }
 
-/// Parses one request line.
+/// Parses one request line in a single pass over its bytes: a `map`
+/// decodes straight into its [`Dfg`] and [`Cgra`], with no JSON tree in
+/// between. Members may come in any order, unknown ones are skipped and
+/// the first of duplicate keys wins; a non-integer `id` is ignored, and a
+/// missing or non-string `name` reads as `"unnamed"`.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let value = crate::json::parse(line).map_err(|e| WireError::new(format!("bad JSON: {e}")))?;
-    let op = str_field(&value, "op")?;
-    match op {
-        "map" => {
-            let id = value.get("id").and_then(Json::as_i64);
-            let name = value
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("unnamed")
-                .to_string();
-            let dfg = dfg_from_json(field(&value, "dfg")?)?;
-            let cgra = cgra_from_json(field(&value, "cgra")?)?;
-            let timeout_ms = match value.get("timeout_ms") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| {
-                    WireError::new("`timeout_ms` must be a non-negative integer")
-                })?),
-            };
-            Ok(Request::Map(Box::new(MapRequest {
-                id,
-                name,
-                dfg,
-                cgra,
-                timeout_ms,
-            })))
+    decode_document(line, decode_request)
+}
+
+fn decode_request(reader: &mut Reader<'_>) -> Decoded<Request> {
+    if reader.event()? != Event::ObjectStart {
+        return Err(missing("op").into());
+    }
+    let (mut op, mut id, mut name) = (None, None, None);
+    let (mut dfg, mut cgra, mut timeout_ms) = (None, None, None);
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "op" if op.is_none() => op = Some(str_value(reader)?),
+            "id" if id.is_none() => id = Some(int_value(reader)?),
+            "name" if name.is_none() => name = Some(str_value(reader)?),
+            // Only a `map` needs these, and `op` may come last: their
+            // semantic errors wait until the object has closed.
+            "dfg" if dfg.is_none() => dfg = Some(settle(reader, decode_dfg)?),
+            "cgra" if cgra.is_none() => cgra = Some(settle(reader, decode_cgra)?),
+            "timeout_ms" if timeout_ms.is_none() => {
+                timeout_ms = Some(settle(reader, decode_timeout)?);
+            }
+            _ => reader.skip_value()?,
         }
-        "stats" => Ok(Request::Stats),
-        "health" => Ok(Request::Health),
-        "trace" => Ok(Request::Trace),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(WireError::new(format!("unknown op `{other}`"))),
+    }
+    let op = op
+        .ok_or_else(|| missing("op"))?
+        .ok_or_else(|| WireError::new("field `op` must be a string"))?;
+    Ok(match &*op {
+        "map" => Request::Map(Box::new(MapRequest {
+            id: id.flatten(),
+            name: name
+                .flatten()
+                .map_or_else(|| "unnamed".to_string(), String::from),
+            dfg: dfg.ok_or_else(|| missing("dfg"))??,
+            cgra: cgra.ok_or_else(|| missing("cgra"))??,
+            timeout_ms: timeout_ms.transpose()?.flatten(),
+        })),
+        "stats" => Request::Stats,
+        "health" => Request::Health,
+        "trace" => Request::Trace,
+        "shutdown" => Request::Shutdown,
+        other => return Err(WireError::new(format!("unknown op `{other}`")).into()),
+    })
+}
+
+fn decode_timeout(reader: &mut Reader<'_>) -> Decoded<Option<u64>> {
+    match reader.event()? {
+        Event::Null => Ok(None),
+        Event::Int(ms) if ms >= 0 => Ok(Some(ms as u64)),
+        _ => Err(WireError::new("`timeout_ms` must be a non-negative integer").into()),
     }
 }
 
@@ -576,7 +774,6 @@ pub fn cache_stats_to_json(stats: &satmapit_engine::CacheStats) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
 
     fn sample_dfg() -> Dfg {
         // acc = acc + 7 — exercises a loop-carried edge with a live-in.
@@ -592,7 +789,7 @@ mod tests {
     fn dfg_round_trips_through_json_text() {
         let dfg = sample_dfg();
         let text = dfg_to_json(&dfg).to_string();
-        let decoded = dfg_from_json(&parse(&text).unwrap()).unwrap();
+        let decoded = dfg_from_str(&text).unwrap();
         assert_eq!(decoded, dfg);
     }
 
@@ -603,12 +800,12 @@ mod tests {
             .with_regs_per_pe(7)
             .with_memory_policy(MemoryPolicy::SplitLoadStore);
         let text = cgra_to_json(&cgra).to_string();
-        assert_eq!(cgra_from_json(&parse(&text).unwrap()).unwrap(), cgra);
+        assert_eq!(cgra_from_str(&text).unwrap(), cgra);
     }
 
     #[test]
     fn cgra_defaults_apply_when_fields_missing() {
-        let cgra = cgra_from_json(&parse(r#"{"rows":3,"cols":3}"#).unwrap()).unwrap();
+        let cgra = cgra_from_str(r#"{"rows":3,"cols":3}"#).unwrap();
         assert_eq!(cgra, Cgra::square(3));
     }
 

@@ -8,8 +8,11 @@ use satmapit_dfg::{Dfg, Op};
 use satmapit_engine::{Engine, EngineConfig, Job};
 use satmapit_service::wire::{outcome_signature, MapRequest};
 use satmapit_service::{Client, Json, Server, ServerConfig};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 struct TempDir(PathBuf);
 
@@ -480,7 +483,8 @@ fn zero_timeout_is_answered_at_admission_without_a_worker() {
 /// The per-outcome latency histograms classify exactly the request mix
 /// the daemon served: cold solves land in `solved`, repeats in
 /// `memory_hit`, a worker-path deadline expiry in `timeout` — and every
-/// queued request records a queue wait.
+/// queued request (the misses; hits are answered on the loop) records a
+/// queue wait.
 #[test]
 fn latency_histograms_classify_the_request_mix() {
     let (addr, handle) = start_server(None);
@@ -495,11 +499,11 @@ fn latency_histograms_classify_the_request_mix() {
         let reply = client.map(&request_for(job, i as i64)).expect("map");
         assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(false));
     }
-    // …the same two again (memory hits)…
+    // …the same two again (memory hits, answered on the event loop)…
     for (i, job) in cold.iter().enumerate() {
         let reply = client.map(&request_for(job, 10 + i as i64)).expect("map");
         assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(true));
-        assert!(reply.get("queue_us").and_then(Json::as_u64).is_some());
+        assert_eq!(reply.get("queue_us").and_then(Json::as_u64), Some(0));
     }
     // …and one worker-path timeout: a 1 ms budget is admitted (not yet
     // expired) but cannot survive a cold chain-16 solve.
@@ -523,7 +527,11 @@ fn latency_histograms_classify_the_request_mix() {
     assert_eq!(count("timeout"), 1, "{stats}");
     assert_eq!(count("persistent_hit"), 0, "{stats}");
     assert_eq!(count("error"), 0, "{stats}");
-    assert_eq!(count("queue_wait"), 5, "every admitted request waits");
+    assert_eq!(
+        count("queue_wait"),
+        3,
+        "every queued request waits; the two hits never queue"
+    );
     // Percentile sanity on a populated class: ordered and bounded by
     // the recorded extremes.
     let solved = latency.get("solved").expect("solved block");
@@ -602,6 +610,75 @@ fn trace_endpoint_writes_a_chrome_trace_file() {
     };
     assert!(cats("rung") >= 1, "per-II rung spans in the trace");
     assert!(cats("request") >= 1, "per-request span in the trace");
+
+    shutdown(&addr, handle);
+}
+
+/// A cache hit does not wait behind a cold solve: while the only worker
+/// is busy with one connection's slow request, a repeat from another
+/// connection is answered from the cache on the event loop
+/// (`cached: true`, `queue_us: 0`) before the solve replies.
+#[test]
+fn a_cache_hit_is_answered_while_the_only_worker_solves() {
+    let (addr, handle) = start_server_with(ServerConfig {
+        workers: 1,
+        queue_capacity: 32,
+        ..ServerConfig::default()
+    });
+    let warm = Job::new("warm-chain4", chain(4), Cgra::square(2));
+    let mut client = Client::connect(&addr).expect("client connect");
+    let reply = client.map(&request_for(&warm, 1)).expect("warm-up map");
+    assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(false));
+
+    // The slow solve goes over a raw socket so its reply can be polled.
+    // Its deadline bounds the test's wall time on any machine.
+    let kernel = satmapit_kernels::by_name("patricia").expect("patricia kernel");
+    let mut slow = request_for(&Job::new("slow", kernel.dfg, Cgra::square(4)), 2);
+    slow.timeout_ms = Some(3_000);
+    let mut solving = TcpStream::connect(&addr).expect("connect slow client");
+    writeln!(solving, "{}", slow.to_json()).expect("send slow request");
+    // Wait until the loop has admitted it and the lone worker has popped
+    // it: `requests` counts the warm-up map, the slow map and every
+    // `stats` poll so far.
+    let mut polls = 0;
+    loop {
+        let stats = client.stats().expect("stats");
+        polls += 1;
+        let field = |key: &str| stats.get(key).and_then(Json::as_u64);
+        if field("requests") == Some(2 + polls) && field("queue_depth") == Some(0) {
+            break;
+        }
+        assert!(
+            polls < 1000,
+            "the slow request was never picked up: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let hit = client.map(&request_for(&warm, 3)).expect("repeat map");
+    assert_eq!(
+        hit.get("cached").and_then(Json::as_bool),
+        Some(true),
+        "{hit}"
+    );
+    assert_eq!(hit.get("queue_us").and_then(Json::as_u64), Some(0), "{hit}");
+    solving.set_nonblocking(true).expect("nonblocking");
+    let mut byte = [0u8; 1];
+    match solving.read(&mut byte) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("the slow solve answered before the cache hit: {other:?}"),
+    }
+    solving.set_nonblocking(false).expect("blocking");
+    let mut line = String::new();
+    BufReader::new(solving)
+        .read_line(&mut line)
+        .expect("slow reply");
+    let reply = satmapit_service::json::parse(line.trim()).expect("slow reply is JSON");
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{reply}"
+    );
 
     shutdown(&addr, handle);
 }

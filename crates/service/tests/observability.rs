@@ -1,6 +1,8 @@
 //! Observability integration: exported Chrome traces parse with the
-//! service's strict JSON parser, and the flight recorder is a pure
-//! observer — turning it on changes no fingerprint and no answer.
+//! service's strict JSON parser, the flight recorder is a pure
+//! observer — turning it on changes no fingerprint and no answer — and a
+//! cache hit answered on the daemon's event loop still emits its
+//! `request` span.
 
 use satmapit_cgra::Cgra;
 use satmapit_dfg::{Dfg, Op};
@@ -8,7 +10,8 @@ use satmapit_engine::fingerprint::fingerprint;
 use satmapit_engine::{solve, EngineConfig};
 use satmapit_obs as obs;
 use satmapit_service::json::{parse, Json};
-use satmapit_service::wire::outcome_signature;
+use satmapit_service::wire::{outcome_signature, MapRequest};
+use satmapit_service::{Client, Server, ServerConfig};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Tracing is process-global; every test that toggles it takes this
@@ -87,4 +90,71 @@ fn tracing_is_fingerprint_neutral_and_changes_no_answer() {
             .any(|e| e.cat == obs::Category::Rung && e.name.starts_with("rung ii=")),
         "a traced solve records rung spans"
     );
+}
+
+#[test]
+fn a_hit_answered_on_the_event_loop_emits_its_request_span() {
+    let _gate = serial();
+    let trace_dir = std::env::temp_dir().join(format!("satmapit-obs-hit-{}", std::process::id()));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            trace_dir: Some(trace_dir.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+    let mut client = Client::connect(&addr).expect("client connect");
+    let request = MapRequest {
+        id: Some(1),
+        name: "obs-hit".to_string(),
+        dfg: sample_dfg(),
+        cgra: Cgra::square(2),
+        timeout_ms: None,
+    };
+    obs::trace::drain();
+    client.map(&request).expect("cold map");
+    let hit = client.map(&request).expect("repeat map");
+    assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true));
+
+    let drained = client.trace().expect("trace");
+    let path = drained
+        .get("path")
+        .and_then(Json::as_str)
+        .expect("trace file path")
+        .to_string();
+    let doc = parse(&std::fs::read_to_string(&path).expect("trace file")).expect("strict JSON");
+    let classes: Vec<(String, i64)> = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents")
+        .iter()
+        .filter(|e| e.get("cat").and_then(Json::as_str) == Some("request"))
+        .map(|e| {
+            let args = e.get("args").expect("request span args");
+            (
+                args.get("class")
+                    .and_then(Json::as_str)
+                    .unwrap_or("")
+                    .to_string(),
+                args.get("queue_us").and_then(Json::as_i64).unwrap_or(-1),
+            )
+        })
+        .collect();
+    assert!(
+        classes.iter().any(|(class, _)| class == "solved"),
+        "{classes:?}"
+    );
+    assert!(
+        classes.contains(&("memory_hit".to_string(), 0)),
+        "the loop-answered hit records a request span with its class: {classes:?}"
+    );
+
+    client.shutdown().expect("shutdown ack");
+    handle.join().expect("server thread");
+    obs::trace::set_enabled(false);
+    let _ = std::fs::remove_dir_all(&trace_dir);
 }

@@ -808,12 +808,7 @@ fn submit_dfg(parsed: &Parsed) -> sat_mapit::dfg::Dfg {
                 }
                 _ => unreachable!("first match arm covers bare kernel names"),
             };
-            let value = sat_mapit::service::json::parse(text.trim()).unwrap_or_else(|e| {
-                // lint: allow(log-discipline) -- failure outcomes are stderr's contract
-                eprintln!("DFG is not valid JSON: {e}");
-                exit(2);
-            });
-            wire::dfg_from_json(&value).unwrap_or_else(|e| {
+            wire::dfg_from_str(text.trim()).unwrap_or_else(|e| {
                 // lint: allow(log-discipline) -- failure outcomes are stderr's contract
                 eprintln!("DFG JSON is malformed: {e}");
                 exit(2);
