@@ -11,7 +11,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::fingerprint::{fingerprint, problem_fingerprint, Fingerprint};
-use crate::persist::{self, Appender, StoreKind};
+use crate::persist::{self, Appender, StoreKind, StoredRecord};
 use crate::race::{solve, EngineOutcome};
 use crate::EngineConfig;
 use satmapit_core::AttemptOutcome;
@@ -167,10 +167,20 @@ pub struct Served {
     pub persistent: bool,
 }
 
+/// A memoized outcome: decoded, or still on disk where the startup scan
+/// indexed it, decoded by its first hit ([`Engine::decode_stored`]). An
+/// entry is on disk only from the load on; only a compaction moves it,
+/// and compactions run one at a time under the results appender's lock.
+#[derive(Debug, Clone)]
+enum Stored {
+    Decoded(Arc<EngineOutcome>),
+    OnDisk(StoredRecord),
+}
+
 /// One memoized result plus the metadata cache eviction needs.
 #[derive(Debug)]
 struct CacheEntry {
-    outcome: Arc<EngineOutcome>,
+    outcome: Stored,
     /// When the entry entered this process's cache (by load or solve);
     /// the age bound measures from here.
     inserted: Instant,
@@ -221,7 +231,8 @@ pub struct Engine {
     /// ([`Engine::absorb`]), read by [`Engine::cache_stats`].
     counters: [AtomicU64; CacheStats::TABLE.len()],
     /// Monotone access clock for LRU eviction: every cache touch takes
-    /// a ticket and stamps the entry.
+    /// a ticket and stamps the entry. Tickets start at 1: 0 stamps the
+    /// entries loaded from disk, older than any touch.
     tick: AtomicU64,
     /// Thundering-herd guard: fingerprints currently being solved. A
     /// lookup that finds its key here waits for the leader to finish and
@@ -294,7 +305,7 @@ impl Engine {
             cache: Mutex::new(HashMap::new()),
             bounds: Mutex::new(HashMap::new()),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            tick: AtomicU64::new(0),
+            tick: AtomicU64::new(1),
             inflight: Mutex::new(HashSet::new()),
             inflight_cv: Condvar::new(),
             persist: None,
@@ -303,7 +314,8 @@ impl Engine {
 
     /// An engine whose result and proven-II-bound caches are backed by the
     /// versioned, checksummed stores in `dir` (see [`crate::persist`]):
-    /// existing records seed the caches, every miss appends its record, and
+    /// existing records seed the caches — result records as an index, each
+    /// decoded on its first hit — every miss appends its record, and
     /// [`Engine::compact_persistent`] (also run on drop) rewrites the files
     /// from the live set. Corrupt or truncated records are skipped and
     /// reported through [`Engine::load_warnings`], never trusted.
@@ -317,7 +329,7 @@ impl Engine {
         // Sweep temp files stranded by a compaction that crashed before
         // its rename — they hold a superseded snapshot at best.
         let mut warnings = persist::clean_stale_tmp(dir)?;
-        let (results, load_warnings) = persist::load_results(dir)?;
+        let (results, load_warnings) = persist::index_results(dir)?;
         warnings.extend(load_warnings);
         let (bounds, bound_warnings) = persist::load_bounds(dir)?;
         warnings.extend(bound_warnings);
@@ -344,11 +356,11 @@ impl Engine {
         let now = Instant::now();
         let cache: HashMap<Fingerprint, CacheEntry> = results
             .into_iter()
-            .map(|(key, outcome)| {
+            .map(|(key, record)| {
                 (
                     key,
                     CacheEntry {
-                        outcome,
+                        outcome: Stored::OnDisk(record),
                         inserted: now,
                         last_used: 0,
                         from_disk: true,
@@ -483,26 +495,53 @@ impl Engine {
         // the compacted file.
         {
             let mut appender = lock(&persist.results);
-            let mut live: Vec<(Fingerprint, Arc<EngineOutcome>)> = lock(&self.cache)
+            let mut live: Vec<(Fingerprint, Stored)> = lock(&self.cache)
                 .iter()
-                .map(|(&key, entry)| (key, Arc::clone(&entry.outcome)))
+                .map(|(&key, entry)| (key, entry.outcome.clone()))
                 .collect();
             // Deterministic file contents: key order, not hash-map order.
             live.sort_by_key(|(key, _)| *key);
-            let payloads: Vec<Vec<u8>> = live
-                .iter()
-                .map(|(key, outcome)| persist::encode_result_record(*key, outcome))
-                .collect();
-            persist::rewrite(
-                &persist.dir.join(persist::RESULTS_FILE),
-                StoreKind::Results,
-                &payloads,
-                sync,
-            )?;
+            let path = persist.dir.join(persist::RESULTS_FILE);
+            let mut out = persist::StoreWriter::create(&path, StoreKind::Results)?;
+            // A record never decoded is copied frame for frame, so it
+            // stays byte-identical; one that no longer verifies is left
+            // out, and its entry goes below.
+            let mut moved = Vec::new();
+            let mut lost = Vec::new();
+            let mut frame = Vec::new();
+            for (key, stored) in live {
+                match stored {
+                    Stored::Decoded(outcome) => {
+                        out.push(&persist::encode_result_record(key, &outcome))?;
+                    }
+                    Stored::OnDisk(record) => match record.frame(&mut frame) {
+                        Ok(bytes) => moved.push((key, record, out.push_frame(bytes)?)),
+                        Err(e) => {
+                            self.warn_stored(&record, &e);
+                            lost.push(key);
+                        }
+                    },
+                }
+            }
+            let file = Arc::new(out.commit(sync)?);
+            // Entries still on disk now read from the compacted file, so
+            // the replaced store's inode is not held open.
+            {
+                let mut cache = lock(&self.cache);
+                for (key, old, offset) in moved {
+                    if let Some(Stored::OnDisk(record)) =
+                        cache.get_mut(&key).map(|entry| &mut entry.outcome)
+                    {
+                        *record = old.moved_to(&file, offset);
+                    }
+                }
+                for key in lost {
+                    remove_stored(&mut cache, key);
+                }
+            }
             // The rewrite replaced the inode the appender held open;
             // reopen so later appends land in the compacted file.
-            *appender =
-                Appender::open(&persist.dir.join(persist::RESULTS_FILE), StoreKind::Results)?;
+            *appender = Appender::open(&path, StoreKind::Results)?;
         }
         {
             let mut appender = lock(&persist.bounds);
@@ -554,13 +593,22 @@ impl Engine {
     /// deadline still serve cached answers instead of a reflexive
     /// timeout.
     pub fn lookup_cached(&self, dfg: &Dfg, cgra: &Cgra) -> Option<Served> {
-        self.probe(fingerprint(dfg, cgra, &self.config))
+        self.lookup_keyed(self.key(dfg, cgra))
     }
 
-    /// The one cache-hit path: looks `key` up, stamps the entry's LRU
-    /// tick, books the hit (and the persistent hit, for an entry loaded
-    /// from disk) and records the `cache_probe` span.
-    fn probe(&self, key: Fingerprint) -> Option<Served> {
+    /// The content hash this engine caches `(dfg, cgra)` under — the key
+    /// [`Engine::lookup_keyed`] and [`Engine::map_keyed`] take, so a
+    /// caller that probes and then solves hashes the problem once.
+    pub fn key(&self, dfg: &Dfg, cgra: &Cgra) -> Fingerprint {
+        fingerprint(dfg, cgra, &self.config)
+    }
+
+    /// [`Engine::lookup_cached`] under a key from [`Engine::key`]. The
+    /// one cache-hit path: looks `key` up, stamps the entry's LRU tick,
+    /// decodes an entry still on disk, books the hit (and the persistent
+    /// hit, for an entry loaded from disk) and records the `cache_probe`
+    /// span.
+    pub fn lookup_keyed(&self, key: Fingerprint) -> Option<Served> {
         let mut span = obs::trace::Span::begin(obs::trace::Category::Persist, "cache_probe");
         let hit = {
             // ordering: the LRU tick only needs uniqueness-ish
@@ -569,10 +617,17 @@ impl Engine {
             let mut cache = lock(&self.cache);
             cache.get_mut(&key).map(|entry| {
                 entry.last_used = tick;
-                (Arc::clone(&entry.outcome), entry.from_disk)
+                (entry.outcome.clone(), entry.from_disk)
             })
         };
-        let Some((outcome, persistent)) = hit else {
+        let outcome = match hit {
+            Some((Stored::Decoded(outcome), persistent)) => Some((outcome, persistent)),
+            Some((Stored::OnDisk(record), persistent)) => self
+                .decode_stored(key, &record)
+                .map(|outcome| (outcome, persistent)),
+            None => None,
+        };
+        let Some((outcome, persistent)) = outcome else {
             span.arg("hit", 0);
             return None;
         };
@@ -590,6 +645,59 @@ impl Engine {
         })
     }
 
+    /// The first hit on an entry still on disk: reads, re-verifies and
+    /// decodes its record outside the cache lock, then swaps the outcome
+    /// in — or, when another hit decoded it first, serves that one, so
+    /// every hit shares one allocation. A record that no longer verifies
+    /// or decodes leaves the cache and the hit becomes a miss: it is
+    /// never served, and the caller re-solves.
+    fn decode_stored(&self, key: Fingerprint, record: &StoredRecord) -> Option<Arc<EngineOutcome>> {
+        let loaded = record.load(key);
+        let mut cache = lock(&self.cache);
+        match loaded {
+            Ok(outcome) => {
+                let outcome = Arc::new(outcome);
+                match cache.get_mut(&key) {
+                    Some(entry) => match &entry.outcome {
+                        Stored::Decoded(first) => Some(Arc::clone(first)),
+                        Stored::OnDisk(_) => {
+                            entry.outcome = Stored::Decoded(Arc::clone(&outcome));
+                            Some(outcome)
+                        }
+                    },
+                    // Evicted since the probe: the record verified, so
+                    // this hit is still answered.
+                    None => Some(outcome),
+                }
+            }
+            Err(e) => {
+                remove_stored(&mut cache, key);
+                drop(cache);
+                if let Some(persist) = &self.persist {
+                    // ordering: advisory dirty flag, read at drop.
+                    persist.dirty.store(true, Ordering::Relaxed);
+                }
+                self.warn_stored(record, &e);
+                None
+            }
+        }
+    }
+
+    /// Reports a record the startup scan verified that can no longer be
+    /// served.
+    fn warn_stored(&self, record: &StoredRecord, e: &io::Error) {
+        let path = self
+            .cache_dir()
+            .map(|dir| dir.join(persist::RESULTS_FILE))
+            .unwrap_or_default();
+        obs::warn!(
+            "satmapit::engine::persist",
+            "{}: record at offset {} {e}; dropped from the cache",
+            path.display(),
+            record.offset()
+        );
+    }
+
     /// [`Engine::map`] with an optional wall-clock deadline for *this
     /// lookup only*. The cache key is unchanged — the deadline is an
     /// execution constraint, not part of the problem — so a request that
@@ -598,11 +706,13 @@ impl Engine {
     /// The effective solve budget is the tighter of the engine's
     /// configured timeout and the remaining time to `deadline`.
     pub fn map_with_deadline(&self, dfg: &Dfg, cgra: &Cgra, deadline: Option<Instant>) -> Served {
-        let key = fingerprint(dfg, cgra, &self.config);
-        self.map_keyed(key, dfg, cgra, deadline)
+        self.map_keyed(self.key(dfg, cgra), dfg, cgra, deadline)
     }
 
-    fn map_keyed(
+    /// [`Engine::map_with_deadline`] under a key from [`Engine::key`], for
+    /// a caller that already hashed the problem to probe the cache. The
+    /// cache is probed again here: a duplicate may have landed since.
+    pub fn map_keyed(
         &self,
         key: Fingerprint,
         dfg: &Dfg,
@@ -610,7 +720,7 @@ impl Engine {
         deadline: Option<Instant>,
     ) -> Served {
         loop {
-            if let Some(served) = self.probe(key) {
+            if let Some(served) = self.lookup_keyed(key) {
                 return served;
             }
             // Become the leader for this key, or wait for the current one
@@ -711,14 +821,23 @@ impl Engine {
             // room for.
             let tick = self.tick.fetch_add(1, Ordering::Relaxed);
             let mut cache = lock(&self.cache);
-            let entry = cache.entry(key).or_insert_with(|| CacheEntry {
-                outcome: Arc::clone(&outcome),
+            let fresh = || CacheEntry {
+                outcome: Stored::Decoded(Arc::clone(&outcome)),
                 inserted: Instant::now(),
                 last_used: 0,
                 from_disk: false,
-            });
+            };
+            let entry = cache.entry(key).or_insert_with(fresh);
+            // An entry still on disk here is one the probe could not
+            // serve; the fresh solve replaces it.
+            if matches!(entry.outcome, Stored::OnDisk(_)) {
+                *entry = fresh();
+            }
             entry.last_used = tick;
-            let shared = Arc::clone(&entry.outcome);
+            let Stored::Decoded(shared) = &entry.outcome else {
+                unreachable!("a solved entry is decoded")
+            };
+            let shared = Arc::clone(shared);
             self.evict_locked(&mut cache);
             shared
         };
@@ -962,7 +1081,7 @@ impl Engine {
         }
         let keys: Vec<Fingerprint> = jobs
             .iter()
-            .map(|job| fingerprint(&job.dfg, &job.cgra, &self.config))
+            .map(|job| self.key(&job.dfg, &job.cgra))
             .collect();
         // In-flight dedup: solve each distinct fingerprint exactly once
         // (the cache alone can't prevent two lanes solving the same key).
@@ -1031,6 +1150,20 @@ impl Engine {
                 }
             })
             .collect()
+    }
+}
+
+/// Drops `key`'s entry if it is still on disk: its record was found
+/// unservable.
+fn remove_stored(cache: &mut HashMap<Fingerprint, CacheEntry>, key: Fingerprint) {
+    if matches!(
+        cache.get(&key),
+        Some(CacheEntry {
+            outcome: Stored::OnDisk(_),
+            ..
+        })
+    ) {
+        cache.remove(&key);
     }
 }
 

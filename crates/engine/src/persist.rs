@@ -6,7 +6,9 @@
 //! * **`results.smc`** — the content-hash result cache: one record per
 //!   solved fingerprint, holding the full [`EngineOutcome`] (mapping,
 //!   register allocation, per-II trace, race telemetry). A warm restart
-//!   replays these without touching the SAT solver.
+//!   indexes these in one checksum-verifying scan ([`index_results`]),
+//!   keeping only fingerprint → frame place, and decodes a record on its
+//!   first hit; nothing touches the SAT solver.
 //! * **`bounds.smc`** — the proven-II-bound cache: `problem_fingerprint →
 //!   proven lower bound` records (`u32::MAX` = unmappable at every II).
 //!
@@ -25,7 +27,10 @@
 //! checksum or decoding fails is **skipped with a warning**, and a
 //! truncated tail (an interrupted append) ends the scan without error —
 //! corruption can cost cache entries but can never poison results or
-//! panic the daemon.
+//! panic the daemon. The scan reads through one fixed buffer and
+//! verifies every frame's checksum; a hit re-reads its one frame and
+//! verifies it again before decoding, so a record damaged after the
+//! scan is a miss, never an answer.
 //!
 //! ## Stats blocks
 //!
@@ -54,6 +59,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -181,13 +187,72 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 /// 64-bit FNV-1a over `bytes` — the record checksum.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+/// How many payloads [`checksums`] hashes side by side.
+const LANES: usize = 4;
+
+/// The [`checksum`] of each `payloads` range of `bytes`, into `sums`.
+/// FNV-1a is one multiply chain per payload, so a lone hash waits out
+/// every multiply's latency; [`LANES`] payloads are hashed in lockstep
+/// instead, their independent multiplies overlapping. A lane whose
+/// payload ends takes the next one, and the last few finish alone.
+fn checksums(bytes: &[u8], payloads: &[Range<usize>], sums: &mut Vec<u64>) {
+    sums.clear();
+    sums.resize(payloads.len(), FNV_OFFSET);
+    if payloads.len() < LANES {
+        for (sum, payload) in sums.iter_mut().zip(payloads) {
+            *sum = checksum(&bytes[payload.clone()]);
+        }
+        return;
     }
-    h
+    // Lane `l` hashes payload `who[l]`, has `rest[l]` of it to go and
+    // holds `h[l]` so far; `None` once no payload is left for it.
+    let mut who: [Option<usize>; LANES] = std::array::from_fn(Some);
+    let mut rest: [&[u8]; LANES] = std::array::from_fn(|l| &bytes[payloads[l].clone()]);
+    let mut h = [FNV_OFFSET; LANES];
+    let mut next = LANES;
+    while who.iter().all(Option::is_some) {
+        let step = rest.iter().map(|r| r.len()).min().unwrap_or(0);
+        let [a, b, c, d] = rest.map(|r| &r[..step]);
+        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+            h[0] = (h[0] ^ u64::from(a)).wrapping_mul(FNV_PRIME);
+            h[1] = (h[1] ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            h[2] = (h[2] ^ u64::from(c)).wrapping_mul(FNV_PRIME);
+            h[3] = (h[3] ^ u64::from(d)).wrapping_mul(FNV_PRIME);
+        }
+        for lane in 0..LANES {
+            rest[lane] = &rest[lane][step..];
+            let Some(done) = who[lane].filter(|_| rest[lane].is_empty()) else {
+                continue;
+            };
+            sums[done] = h[lane];
+            who[lane] = payloads.get(next).map(|payload| {
+                rest[lane] = &bytes[payload.clone()];
+                h[lane] = FNV_OFFSET;
+                next += 1;
+                next - 1
+            });
+        }
+    }
+    for lane in 0..LANES {
+        if let Some(payload) = who[lane] {
+            sums[payload] = fnv1a(h[lane], rest[lane]);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -831,143 +896,271 @@ fn check_header(bytes: &[u8], kind: StoreKind) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Reads every intact record payload of a store file.
-///
-/// Returns the payloads plus human-readable warnings for everything that
-/// had to be skipped. A missing file is simply empty. The scan trusts
-/// nothing but checksums: when a frame fails to validate — a torn
-/// append, a corrupted length prefix, a flipped payload bit — the
-/// loader searches forward for the next offset holding a
-/// checksum-verified frame and resumes there, so damage is always
-/// bounded to the damaged bytes and records appended *after* a tear are
-/// still recovered. Only a tail with no verified frame anywhere in it
-/// is dropped.
-pub fn read_records(path: &Path, kind: StoreKind) -> io::Result<(Vec<Vec<u8>>, Vec<String>)> {
-    let mut bytes = Vec::new();
+/// Bytes of a record frame before its payload: length u32 + checksum u64.
+const FRAME_HEADER: usize = 12;
+/// Bytes the store scan reads at a time into its one reused buffer. The
+/// buffer grows past this only for a frame larger than it, or to hold
+/// the rest of the file once a frame fails and the resync has to search
+/// it.
+const SCAN_CHUNK: usize = 128 << 10;
+
+/// Opens a store file for reading; a missing file is `None`.
+fn open_store(path: &Path) -> io::Result<Option<File>> {
     match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
+        Ok(file) => Ok(Some(file)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The length a record frame opening `bytes` claims, if its header is
+/// complete and the length plausible.
+fn frame_len(bytes: &[u8]) -> Option<usize> {
+    let header = bytes.get(..FRAME_HEADER)?;
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+    (len <= MAX_RECORD_LEN).then_some(len as usize)
+}
+
+/// The payload of the record frame opening `bytes`, when the frame is
+/// complete and its payload checksum validates — strong evidence (2⁻⁶⁴
+/// false-positive odds) of a real record boundary. This is what lets the
+/// loader resynchronize after torn or corrupt bytes without ever trusting
+/// damaged framing.
+fn verified_payload(bytes: &[u8]) -> Option<&[u8]> {
+    let len = frame_len(bytes)?;
+    let payload = bytes.get(FRAME_HEADER..FRAME_HEADER + len)?;
+    let sum = u64::from_le_bytes(bytes[4..FRAME_HEADER].try_into().unwrap());
+    (checksum(payload) == sum).then_some(payload)
+}
+
+/// The first offset ≥ `from` in `bytes` holding a checksum-verified
+/// record frame. Candidate offsets whose length field is implausible are
+/// rejected before any checksum work, so the scan is cheap on random
+/// garbage.
+fn scan_for_record(bytes: &[u8], from: usize) -> Option<usize> {
+    (from..bytes.len()).find(|&pos| verified_payload(&bytes[pos..]).is_some())
+}
+
+/// A forward-only window onto a store file: the bytes from file offset
+/// `base` on, read [`SCAN_CHUNK`] at a time into one reused buffer.
+struct Window<'a> {
+    file: &'a File,
+    buf: Vec<u8>,
+    /// File offset of `buf[0]`.
+    base: u64,
+    /// `true` once `buf` runs to the end of the file.
+    whole: bool,
+}
+
+impl Window<'_> {
+    /// The bytes from file offset `pos` on — at least `need` of them, or
+    /// all that remain when the file ends sooner. `pos` never lies behind
+    /// the window; the bytes before it are released.
+    fn at(&mut self, pos: u64, need: usize) -> io::Result<&[u8]> {
+        let skip = usize::try_from(pos - self.base).expect("a window position lies in its buffer");
+        if self.whole || self.buf.len() - skip >= need {
+            return Ok(&self.buf[skip..]);
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), Vec::new())),
-        Err(e) => return Err(e),
+        self.buf.drain(..skip);
+        self.base = pos;
+        let want = need.max(SCAN_CHUNK) - self.buf.len();
+        let got = self.file.take(want as u64).read_to_end(&mut self.buf)?;
+        self.whole = got < want;
+        Ok(&self.buf)
     }
+}
+
+/// Walks a store file once, in file order, handing `visit` the offset
+/// and payload of every record frame whose checksum verifies, and
+/// returns human-readable warnings for everything it had to skip.
+///
+/// The walk reads the file through one reused [`SCAN_CHUNK`] buffer and
+/// trusts nothing but checksums: when a frame fails to validate — a torn
+/// append, a corrupted length prefix, a flipped payload bit — it reads
+/// the rest of the file and searches forward for the next offset holding
+/// a checksum-verified frame, and resumes there, so damage is always
+/// bounded to the damaged bytes and records appended *after* a tear are
+/// still recovered. Only a tail with no verified frame anywhere in it is
+/// dropped.
+fn scan(
+    file: &File,
+    path: &Path,
+    kind: StoreKind,
+    mut visit: impl FnMut(u64, &[u8]),
+) -> io::Result<Vec<String>> {
+    let mut window = Window {
+        file,
+        buf: Vec::new(),
+        base: 0,
+        whole: false,
+    };
     let mut warnings = Vec::new();
-    if let Err(e) = check_header(&bytes, kind) {
+    if let Err(e) = check_header(window.at(0, HEADER_LEN)?, kind) {
         warnings.push(format!("{}: ignoring cache file: {e}", path.display()));
-        return Ok((Vec::new(), warnings));
+        return Ok(warnings);
     }
-    let mut records = Vec::new();
-    let mut pos = HEADER_LEN;
+    let mut pos = HEADER_LEN as u64;
     let mut index = 0usize;
-    while pos < bytes.len() {
-        if bytes.len() - pos < 12 {
-            warnings.push(format!(
-                "{}: truncated record header at offset {pos} (interrupted append?); \
-                 dropping tail",
-                path.display()
-            ));
+    let mut payloads = Vec::new();
+    let mut sums = Vec::new();
+    loop {
+        let bytes = window.at(pos, FRAME_HEADER)?;
+        if bytes.is_empty() {
             break;
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let body = pos + 12;
-        if len > MAX_RECORD_LEN || bytes.len() - body < len as usize {
-            // Implausible framing: a torn append's length prefix promises
-            // bytes that never landed. Records appended after the tear
-            // (by a process that failed to roll the tear back) are still
-            // intact — find the next frame whose checksum proves it real.
-            match scan_for_record(&bytes, pos + 1) {
-                Some(next) => {
-                    warnings.push(format!(
-                        "{}: record {index} at offset {pos} claims {len} bytes (torn \
-                         append?); resynced at the next verified record, offset {next}",
-                        path.display()
-                    ));
-                    pos = next;
-                    index += 1;
-                    continue;
-                }
-                None => {
-                    warnings.push(format!(
-                        "{}: record {index} at offset {pos} claims {len} bytes but only {} \
-                         remain and no later record verifies; dropping tail",
-                        path.display(),
-                        bytes.len() - body
-                    ));
-                    break;
-                }
+        // Every frame the buffer holds whole is checksummed at once, then
+        // visited in order up to the first that fails.
+        payloads.clear();
+        let mut end = 0;
+        while let Some(len) = frame_len(&bytes[end..]) {
+            let payload = end + FRAME_HEADER..end + FRAME_HEADER + len;
+            if payload.end > bytes.len() {
+                break;
             }
+            end = payload.end;
+            payloads.push(payload);
         }
-        let payload = &bytes[body..body + len as usize];
-        if checksum(payload) != sum {
-            // The checksum only covers the payload the *length prefix*
-            // framed — if the corruption hit the length itself, advancing
-            // by it would desynchronize the scan and silently mis-skip
-            // every following valid record. Advance by the prefix only
-            // when the frame it implies next *verifies* (or the file ends
-            // cleanly there); otherwise fall back to scanning for a
-            // verified frame anywhere in the tail.
-            let next = body + len as usize;
-            if next == bytes.len() || verified_at(&bytes, next) {
-                warnings.push(format!(
-                    "{}: record {index} at offset {pos} fails its checksum; skipped",
-                    path.display()
-                ));
-                pos = next;
+        checksums(bytes, &payloads, &mut sums);
+        let mut verified = 0;
+        for (payload, &sum) in payloads.iter().zip(&sums) {
+            let frame = payload.start - FRAME_HEADER;
+            if bytes[frame + 4..payload.start] != sum.to_le_bytes() {
+                break;
+            }
+            visit(pos + frame as u64, &bytes[payload.clone()]);
+            verified = payload.end;
+            index += 1;
+        }
+        if verified > 0 {
+            pos += verified as u64;
+            continue;
+        }
+        // The first frame is not in the buffer whole, or does not verify.
+        if let Some(len) = frame_len(bytes) {
+            if let Some(payload) = verified_payload(window.at(pos, FRAME_HEADER + len)?) {
+                visit(pos, payload);
+                pos += (FRAME_HEADER + len) as u64;
                 index += 1;
                 continue;
             }
-            match scan_for_record(&bytes, pos + 1) {
-                Some(next) => {
-                    warnings.push(format!(
-                        "{}: record {index} at offset {pos} fails its checksum and its \
-                         length prefix is untrustworthy; resynced at the next verified \
-                         record, offset {next}",
-                        path.display()
-                    ));
-                    pos = next;
-                    index += 1;
-                    continue;
-                }
-                None => {
-                    warnings.push(format!(
-                        "{}: record {index} at offset {pos} fails its checksum and no \
-                         later record verifies; dropping tail",
-                        path.display()
-                    ));
-                    break;
-                }
-            }
         }
-        records.push(payload.to_vec());
-        pos = body + len as usize;
-        index += 1;
+        match resync(window.at(pos, usize::MAX)?, pos, index, path, &mut warnings) {
+            Some(skip) => {
+                pos += skip as u64;
+                index += 1;
+            }
+            None => break,
+        }
     }
+    Ok(warnings)
+}
+
+/// Recovery from record `index`, at file offset `pos`, whose frame does
+/// not verify; `bytes` runs from that frame to the end of the file.
+/// Returns how far to skip to the next frame worth reading, or `None` to
+/// drop the tail, and says which in `warnings`.
+fn resync(
+    bytes: &[u8],
+    pos: u64,
+    index: usize,
+    path: &Path,
+    warnings: &mut Vec<String>,
+) -> Option<usize> {
+    if bytes.len() < FRAME_HEADER {
+        warnings.push(format!(
+            "{}: truncated record header at offset {pos} (interrupted append?); \
+             dropping tail",
+            path.display()
+        ));
+        return None;
+    }
+    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+    let remain = bytes.len() - FRAME_HEADER;
+    if len > MAX_RECORD_LEN || remain < len as usize {
+        // Implausible framing: a torn append's length prefix promises
+        // bytes that never landed. Records appended after the tear (by a
+        // process that failed to roll the tear back) are still intact —
+        // find the next frame whose checksum proves it real.
+        return match scan_for_record(bytes, 1) {
+            Some(next) => {
+                warnings.push(format!(
+                    "{}: record {index} at offset {pos} claims {len} bytes (torn \
+                     append?); resynced at the next verified record, offset {}",
+                    path.display(),
+                    pos + next as u64
+                ));
+                Some(next)
+            }
+            None => {
+                warnings.push(format!(
+                    "{}: record {index} at offset {pos} claims {len} bytes but only {remain} \
+                     remain and no later record verifies; dropping tail",
+                    path.display(),
+                ));
+                None
+            }
+        };
+    }
+    // The checksum only covers the payload the *length prefix* framed — if
+    // the corruption hit the length itself, advancing by it would
+    // desynchronize the scan and silently mis-skip every following valid
+    // record. Advance by the prefix only when the frame it implies next
+    // *verifies* (or the file ends cleanly there); otherwise fall back to
+    // scanning for a verified frame anywhere in the tail.
+    let next = FRAME_HEADER + len as usize;
+    if next == bytes.len() || verified_payload(&bytes[next..]).is_some() {
+        warnings.push(format!(
+            "{}: record {index} at offset {pos} fails its checksum; skipped",
+            path.display()
+        ));
+        return Some(next);
+    }
+    match scan_for_record(bytes, 1) {
+        Some(next) => {
+            warnings.push(format!(
+                "{}: record {index} at offset {pos} fails its checksum and its \
+                 length prefix is untrustworthy; resynced at the next verified \
+                 record, offset {}",
+                path.display(),
+                pos + next as u64
+            ));
+            Some(next)
+        }
+        None => {
+            warnings.push(format!(
+                "{}: record {index} at offset {pos} fails its checksum and no \
+                 later record verifies; dropping tail",
+                path.display()
+            ));
+            None
+        }
+    }
+}
+
+/// Reads every intact record payload of a store file, in file order.
+///
+/// Returns the payloads plus human-readable warnings for everything that
+/// had to be skipped. A missing file is simply empty. The one scan
+/// behind every loader decides what is intact; see [`load_results`] for
+/// the recovery rules.
+pub fn read_records(path: &Path, kind: StoreKind) -> io::Result<(Vec<Vec<u8>>, Vec<String>)> {
+    let Some(file) = open_store(path)? else {
+        return Ok((Vec::new(), Vec::new()));
+    };
+    let mut records = Vec::new();
+    let warnings = scan(&file, path, kind, |_, payload| {
+        records.push(payload.to_vec())
+    })?;
     Ok((records, warnings))
 }
 
-/// `true` when a full record frame at `pos` parses *and* its payload
-/// checksum validates — strong evidence (2⁻⁶⁴ false-positive odds) of a
-/// real record boundary. This is what lets the loader resynchronize
-/// after torn or corrupt bytes without ever trusting damaged framing.
-fn verified_at(bytes: &[u8], pos: usize) -> bool {
-    if pos > bytes.len() || bytes.len() - pos < 12 {
-        return false;
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-    let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-    let body = pos + 12;
-    if len > MAX_RECORD_LEN || bytes.len() - body < len as usize {
-        return false;
-    }
-    checksum(&bytes[body..body + len as usize]) == sum
-}
-
-/// The first offset ≥ `from` holding a checksum-verified record frame.
-/// Candidate offsets whose length field is implausible are rejected
-/// before any checksum work, so the scan is cheap on random garbage.
-fn scan_for_record(bytes: &[u8], from: usize) -> Option<usize> {
-    (from..bytes.len()).find(|&pos| verified_at(bytes, pos))
+/// Writes the frame of `payload` — length, checksum, payload — into
+/// `frame`, replacing what it held.
+fn frame_into(frame: &mut Vec<u8>, payload: &[u8]) {
+    frame.clear();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&checksum(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
 }
 
 /// Appends framed records to a store file, creating it (with a header)
@@ -1061,10 +1254,8 @@ impl Appender {
                 "appender sealed: an earlier failed append could not be rolled back",
             ));
         }
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+        frame_into(&mut frame, payload);
         // One write_all per record keeps concurrent appends (behind the
         // engine's mutex) and crashes from interleaving frames.
         let written = satmapit_faults::write_all(self.kind.append_site(), &mut self.file, &frame)
@@ -1101,44 +1292,96 @@ impl Appender {
 
 /// Atomically rewrites a store file from in-memory payloads: write to a
 /// sibling temp file, then rename over the original. Deduplicates nothing
-/// itself — callers pass the already-deduplicated live set.
+/// itself — callers pass the already-deduplicated live set. A
+/// [`StoreWriter`] does the same a frame at a time.
+pub fn rewrite(path: &Path, kind: StoreKind, payloads: &[Vec<u8>], sync: bool) -> io::Result<()> {
+    let mut out = StoreWriter::create(path, kind)?;
+    for payload in payloads {
+        out.push(payload)?;
+    }
+    out.commit(sync).map(drop)
+}
+
+/// A store file rewritten a frame at a time: frames go to a sibling temp
+/// file, and [`StoreWriter::commit`] renames it over the store.
 ///
-/// With `sync` set the rewrite is crash-durable, not merely atomic: the
+/// With `sync` set the commit is crash-durable, not merely atomic: the
 /// temp file is `sync_all`ed *before* the rename (so the rename can
 /// never publish a name whose bytes are still in the page cache) and
 /// the parent directory is fsynced *after* it (so a crash cannot
 /// resurrect the pre-compaction file). A temp file stranded by a crash
 /// between create and rename is swept by [`clean_stale_tmp`] on the
 /// next load.
-pub fn rewrite(path: &Path, kind: StoreKind, payloads: &[Vec<u8>], sync: bool) -> io::Result<()> {
-    let tmp = path.with_extension("smc.tmp");
-    {
-        let mut file = File::create(&tmp)?;
+#[derive(Debug)]
+pub struct StoreWriter {
+    file: File,
+    path: PathBuf,
+    tmp: PathBuf,
+    /// Bytes written so far: the offset the next frame lands at.
+    len: u64,
+    /// Reused frame buffer for [`StoreWriter::push`].
+    frame: Vec<u8>,
+}
+
+impl StoreWriter {
+    /// Starts rewriting the `kind` store at `path`: creates the temp file
+    /// and writes the header.
+    pub fn create(path: &Path, kind: StoreKind) -> io::Result<StoreWriter> {
+        let tmp = path.with_extension("smc.tmp");
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
         satmapit_faults::write_all("compact.write", &mut file, &header_bytes(kind))?;
-        for payload in payloads {
-            let mut frame = Vec::with_capacity(12 + payload.len());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&checksum(payload).to_le_bytes());
-            frame.extend_from_slice(payload);
-            satmapit_faults::write_all("compact.write", &mut file, &frame)?;
-        }
-        file.flush()?;
+        Ok(StoreWriter {
+            file,
+            path: path.to_path_buf(),
+            tmp,
+            len: HEADER_LEN as u64,
+            frame: Vec::new(),
+        })
+    }
+
+    /// Frames and writes one record payload; returns the frame's offset.
+    pub fn push(&mut self, payload: &[u8]) -> io::Result<u64> {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame_into(&mut frame, payload);
+        let offset = self.push_frame(&frame);
+        self.frame = frame;
+        offset
+    }
+
+    /// Writes one already framed record as it is — a frame
+    /// [`StoredRecord::frame`] verified — and returns its offset.
+    pub fn push_frame(&mut self, frame: &[u8]) -> io::Result<u64> {
+        satmapit_faults::write_all("compact.write", &mut self.file, frame)?;
+        let offset = self.len;
+        self.len += frame.len() as u64;
+        Ok(offset)
+    }
+
+    /// Renames the rewritten file over the store (durably with `sync`;
+    /// see the type docs) and returns it, open for reading.
+    pub fn commit(mut self, sync: bool) -> io::Result<File> {
+        self.file.flush()?;
         if sync {
             satmapit_faults::check("compact.sync")?;
-            file.sync_all()?;
+            self.file.sync_all()?;
         }
-    }
-    satmapit_faults::check("compact.rename")?;
-    std::fs::rename(&tmp, path)?;
-    if sync {
-        satmapit_faults::check("compact.dirsync")?;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                File::open(parent)?.sync_all()?;
+        satmapit_faults::check("compact.rename")?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        if sync {
+            satmapit_faults::check("compact.dirsync")?;
+            if let Some(parent) = self.path.parent() {
+                if !parent.as_os_str().is_empty() {
+                    File::open(parent)?.sync_all()?;
+                }
             }
         }
+        Ok(self.file)
     }
-    Ok(())
 }
 
 /// Removes stray `*.smc.tmp` files left behind by a compaction that
@@ -1172,44 +1415,164 @@ pub fn clean_stale_tmp(dir: &Path) -> io::Result<Vec<String>> {
 /// A loaded result cache: fingerprint-keyed shared outcomes.
 pub type ResultMap = HashMap<Fingerprint, Arc<EngineOutcome>>;
 
-/// Loads the result cache from `dir`. Duplicate keys keep the first
-/// (oldest) record, matching the in-memory cache's first-insert-wins.
+/// Loads and decodes the whole result cache from `dir`. Duplicate keys
+/// keep the first (oldest) record, matching the in-memory cache's
+/// first-insert-wins. The engine itself loads an index instead
+/// ([`index_results`]); this eager form serves tools and tests.
 pub fn load_results(dir: &Path) -> io::Result<(ResultMap, Vec<String>)> {
     let path = dir.join(RESULTS_FILE);
-    let (records, mut warnings) = read_records(&path, StoreKind::Results)?;
-    let mut map = HashMap::with_capacity(records.len());
-    for (index, payload) in records.iter().enumerate() {
+    let Some(file) = open_store(&path)? else {
+        return Ok((HashMap::new(), Vec::new()));
+    };
+    let mut map = HashMap::new();
+    let mut undecodable = Vec::new();
+    let mut index = 0usize;
+    let mut warnings = scan(&file, &path, StoreKind::Results, |_, payload| {
         match decode_result_record(payload) {
             Ok((key, outcome)) => {
                 map.entry(key).or_insert_with(|| Arc::new(outcome));
             }
-            Err(e) => warnings.push(format!(
-                "{}: record {index} does not decode ({e}); skipped",
-                path.display()
-            )),
+            Err(e) => undecodable.push((index, e)),
+        }
+        index += 1;
+    })?;
+    warnings.extend(undecodable_warnings(&path, undecodable));
+    Ok((map, warnings))
+}
+
+/// One warning per verified record that did not decode, by its position
+/// among the verified records.
+fn undecodable_warnings(
+    path: &Path,
+    undecodable: Vec<(usize, PersistError)>,
+) -> impl Iterator<Item = String> + '_ {
+    undecodable.into_iter().map(move |(index, e)| {
+        format!(
+            "{}: record {index} does not decode ({e}); skipped",
+            path.display()
+        )
+    })
+}
+
+/// A checksum-verified result record that [`index_results`] left on
+/// disk: the open store file it sits in, and where. Holding the file
+/// keeps the record readable after a compaction renames a new store
+/// over it.
+#[derive(Debug, Clone)]
+pub struct StoredRecord {
+    file: Arc<File>,
+    /// File offset of the record's frame.
+    offset: u64,
+    /// Payload length the scan verified.
+    len: u32,
+}
+
+impl StoredRecord {
+    /// File offset of the record's frame.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// The record copied unchanged to `offset` of `file`, a rewritten
+    /// store.
+    pub fn moved_to(&self, file: &Arc<File>, offset: u64) -> StoredRecord {
+        StoredRecord {
+            file: Arc::clone(file),
+            offset,
+            len: self.len,
         }
     }
-    Ok((map, warnings))
+
+    /// Reads the record's frame into `buf` with one positioned read and
+    /// verifies it again — the length the scan indexed, and the payload
+    /// checksum — before returning it.
+    pub fn frame<'a>(&self, buf: &'a mut Vec<u8>) -> io::Result<&'a [u8]> {
+        use std::os::unix::fs::FileExt;
+        buf.resize(FRAME_HEADER + self.len as usize, 0);
+        self.file.read_exact_at(buf, self.offset)?;
+        if buf[..4] != self.len.to_le_bytes() || verified_payload(buf).is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "fails its checksum",
+            ));
+        }
+        Ok(buf)
+    }
+
+    /// Reads, re-verifies ([`StoredRecord::frame`]) and decodes the
+    /// record, which must be the one for `key`.
+    pub fn load(&self, key: Fingerprint) -> io::Result<EngineOutcome> {
+        let mut buf = Vec::new();
+        let frame = self.frame(&mut buf)?;
+        let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
+        match decode_result_record(&frame[FRAME_HEADER..]) {
+            Ok((found, outcome)) if found == key => Ok(outcome),
+            Ok((found, _)) => Err(invalid(format!("holds key {found}, not {key}"))),
+            Err(e) => Err(invalid(format!("does not decode ({e})"))),
+        }
+    }
+}
+
+/// A result store indexed, not loaded: fingerprint → where its record
+/// sits.
+pub type ResultIndex = HashMap<Fingerprint, StoredRecord>;
+
+/// Indexes the result cache in `dir` in one scan: every frame's checksum
+/// is verified exactly as [`load_results`] does, but only the key (the
+/// payload's first 16 bytes) and the frame's place are kept — a record
+/// is decoded by [`StoredRecord::load`] when it is first asked for.
+/// Duplicate keys keep the first (oldest) record, as [`load_results`]
+/// does. The warnings are [`load_results`]' except that a record whose
+/// checksum verifies but whose outcome does not decode is reported only
+/// when it is loaded.
+pub fn index_results(dir: &Path) -> io::Result<(ResultIndex, Vec<String>)> {
+    let path = dir.join(RESULTS_FILE);
+    let Some(file) = open_store(&path)? else {
+        return Ok((HashMap::new(), Vec::new()));
+    };
+    let file = Arc::new(file);
+    let mut records = HashMap::new();
+    let mut undecodable = Vec::new();
+    let mut index = 0usize;
+    let mut warnings = scan(&file, &path, StoreKind::Results, |offset, payload| {
+        match payload.get(..16) {
+            Some(key) => {
+                let key = Fingerprint(u128::from_le_bytes(key.try_into().unwrap()));
+                records.entry(key).or_insert_with(|| StoredRecord {
+                    file: Arc::clone(&file),
+                    offset,
+                    len: payload.len() as u32,
+                });
+            }
+            None => undecodable.push((index, PersistError::Truncated)),
+        }
+        index += 1;
+    })?;
+    warnings.extend(undecodable_warnings(&path, undecodable));
+    Ok((records, warnings))
 }
 
 /// Loads the proven-II-bound cache from `dir`; duplicate keys keep the
 /// strongest (largest) bound, mirroring the in-memory merge.
 pub fn load_bounds(dir: &Path) -> io::Result<(HashMap<Fingerprint, u32>, Vec<String>)> {
     let path = dir.join(BOUNDS_FILE);
-    let (records, mut warnings) = read_records(&path, StoreKind::Bounds)?;
-    let mut map = HashMap::with_capacity(records.len());
-    for (index, payload) in records.iter().enumerate() {
+    let Some(file) = open_store(&path)? else {
+        return Ok((HashMap::new(), Vec::new()));
+    };
+    let mut map = HashMap::new();
+    let mut undecodable = Vec::new();
+    let mut index = 0usize;
+    let mut warnings = scan(&file, &path, StoreKind::Bounds, |_, payload| {
         match decode_bound_record(payload) {
             Ok((key, bound)) => {
                 let entry = map.entry(key).or_insert(bound);
                 *entry = (*entry).max(bound);
             }
-            Err(e) => warnings.push(format!(
-                "{}: record {index} does not decode ({e}); skipped",
-                path.display()
-            )),
+            Err(e) => undecodable.push((index, e)),
         }
-    }
+        index += 1;
+    })?;
+    warnings.extend(undecodable_warnings(&path, undecodable));
     Ok((map, warnings))
 }
 
@@ -1222,6 +1585,30 @@ mod tests {
         assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(checksum(b"abc"), checksum(b"abc"));
         assert_ne!(checksum(b"abc"), checksum(b"abd"));
+    }
+
+    #[test]
+    fn lockstep_checksums_equal_one_at_a_time() {
+        let bytes: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let mut sums = Vec::new();
+        for count in 0..12 {
+            // Lengths that differ, repeat and include empty payloads, so
+            // lanes finish out of order and refill.
+            let payloads: Vec<Range<usize>> = (0..count)
+                .map(|k| {
+                    let start = k * 97 % 1000;
+                    start..start + k * 131 % 300 * (k % 5)
+                })
+                .collect();
+            checksums(&bytes, &payloads, &mut sums);
+            let one_at_a_time: Vec<u64> = payloads
+                .iter()
+                .map(|payload| checksum(&bytes[payload.clone()]))
+                .collect();
+            assert_eq!(sums, one_at_a_time, "{count} payloads");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The cache lifecycle end to end: the size bound holds under a
 //! sustained cold-miss workload (LRU victims, counters booked), the age
 //! bound expires stale entries, and incremental compaction keeps the
-//! on-disk store one-record-per-entry without waiting for shutdown.
+//! on-disk store one-record-per-entry without waiting for shutdown —
+//! copying the records a reopened engine never decoded byte for byte.
 
 use satmapit_cgra::Cgra;
 use satmapit_dfg::{Dfg, Op};
-use satmapit_engine::{CacheLifecycle, Engine, EngineConfig};
+use satmapit_engine::persist::{self, StoreKind};
+use satmapit_engine::{CacheLifecycle, Engine, EngineConfig, Fingerprint};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -230,4 +232,109 @@ fn an_evicted_persistent_entry_stops_counting_as_loaded() {
     let served = engine.map_with_deadline(&chain(2), &cgra, None);
     assert!(!served.cached);
     assert!(!served.persistent);
+}
+
+/// The payload of every record in the results store of `dir`, by key.
+fn stored_payloads(dir: &TempDir) -> std::collections::HashMap<Fingerprint, Vec<u8>> {
+    let path = dir.path().join(persist::RESULTS_FILE);
+    let (records, warnings) = persist::read_records(&path, StoreKind::Results).unwrap();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    records
+        .into_iter()
+        .map(|payload| {
+            let key = Fingerprint(u128::from_le_bytes(payload[..16].try_into().unwrap()));
+            (key, payload)
+        })
+        .collect()
+}
+
+/// How many store files of `dir` this process holds open after their
+/// name was replaced or removed.
+fn unlinked_stores_held_open(dir: &TempDir) -> usize {
+    let dir = dir.path().to_string_lossy().into_owned();
+    fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| {
+            let target = target.to_string_lossy();
+            target.starts_with(&dir) && target.ends_with(".smc (deleted)")
+        })
+        .count()
+}
+
+#[test]
+fn compaction_copies_never_decoded_records_byte_for_byte() {
+    let dir = TempDir::new("undecoded");
+    let cgra = Cgra::square(2);
+    {
+        let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+        for n in 2..6 {
+            engine.map(&chain(n), &cgra);
+        }
+    }
+    let before = stored_payloads(&dir);
+    assert_eq!(before.len(), 4);
+
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+    let decoded = engine.lookup_cached(&chain(2), &cgra).unwrap();
+    assert!(decoded.persistent);
+    let (_, cached) = engine.map(&chain(6), &cgra);
+    assert!(!cached);
+    engine.compact_persistent().unwrap();
+    assert_eq!(
+        unlinked_stores_held_open(&dir),
+        0,
+        "entries still on disk moved to the compacted file"
+    );
+
+    let after = stored_payloads(&dir);
+    assert_eq!(after.len(), 5, "four loaded records and the new solve");
+    for (key, payload) in &before {
+        assert!(&after[key] == payload, "{key} kept its bytes");
+    }
+    // The never-decoded entries now read from the compacted file.
+    for n in 3..6 {
+        let served = engine.lookup_cached(&chain(n), &cgra).unwrap();
+        assert!(served.persistent, "chain{n} hits after the compaction");
+        let (_, stored) = persist::decode_result_record(&before[&served.key]).unwrap();
+        assert_eq!(format!("{:?}", served.outcome), format!("{stored:?}"));
+    }
+    drop(engine);
+
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+    assert!(engine.load_warnings().is_empty());
+    assert_eq!(engine.cache_stats().persistent_entries, 5);
+    for n in 2..7 {
+        let served = engine.lookup_cached(&chain(n), &cgra).unwrap();
+        assert!(served.persistent, "chain{n} hits after a second reopen");
+    }
+}
+
+#[test]
+fn an_evicted_never_decoded_entry_leaves_the_next_compaction() {
+    let dir = TempDir::new("evict-undecoded");
+    let cgra = Cgra::square(2);
+    {
+        let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+        for n in 2..5 {
+            engine.map(&chain(n), &cgra);
+        }
+    }
+    let engine = Engine::with_cache_dir(bounded(2), dir.path()).unwrap();
+    assert_eq!(engine.cache_stats().persistent_entries, 3);
+    // Touch chain2, so the never-decoded chain3 and chain4 are the LRU
+    // victims the next insert evicts.
+    assert!(engine.lookup_cached(&chain(2), &cgra).unwrap().persistent);
+    engine.map(&chain(5), &cgra);
+    assert_eq!(engine.cache_stats().evicted_size, 2);
+    engine.compact_persistent().unwrap();
+
+    let kept = stored_payloads(&dir);
+    let keys: Vec<Fingerprint> = [2, 5].map(|n| engine.key(&chain(n), &cgra)).to_vec();
+    assert_eq!(kept.len(), 2);
+    assert!(
+        keys.iter().all(|key| kept.contains_key(key)),
+        "evicted records dropped"
+    );
+    assert!(engine.lookup_cached(&chain(3), &cgra).is_none());
 }

@@ -1,14 +1,19 @@
 //! The persistence layer end to end: warm restarts answer from disk,
 //! proven bounds survive, and corrupt or truncated store files are
 //! detected by the versioned header + checksums and skipped with a
-//! warning instead of panicking or poisoning results.
+//! warning instead of panicking or poisoning results. A reopened result
+//! store is an index, each record decoded on its first hit: the lazy
+//! answers are held to the eager decode of the same store, and the scan
+//! to the whole-file reader it replaced.
 
 use satmapit_cgra::Cgra;
 use satmapit_dfg::{Dfg, Op};
-use satmapit_engine::{Engine, EngineConfig};
+use satmapit_engine::persist::{self, Appender, StoreKind};
+use satmapit_engine::{Engine, EngineConfig, EngineOutcome, Fingerprint};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A unique, self-cleaning cache directory per test.
 struct TempDir(PathBuf);
@@ -30,7 +35,7 @@ impl TempDir {
     }
 
     fn results_file(&self) -> PathBuf {
-        self.0.join(satmapit_engine::persist::RESULTS_FILE)
+        self.0.join(persist::RESULTS_FILE)
     }
 }
 
@@ -408,4 +413,474 @@ fn plain_engine_has_no_persistence_side_effects() {
     assert_eq!(outcome.ii(), Some(1));
     assert_eq!(engine.cache_stats().persistent_entries, 0);
     engine.compact_persistent().unwrap(); // no-op, must not fail
+}
+
+/// An outcome as text, with the wall-clock fields zeroed: two solves of
+/// one problem agree on everything else.
+fn timeless(outcome: &EngineOutcome) -> String {
+    let mut outcome = outcome.clone();
+    outcome.outcome.elapsed = std::time::Duration::ZERO;
+    for attempt in &mut outcome.outcome.attempts {
+        attempt.elapsed = std::time::Duration::ZERO;
+    }
+    format!("{outcome:?}")
+}
+
+/// Solves `dfgs` on a 2x2 mesh through a persistent engine in `dir` and
+/// drops it, leaving one compacted record per problem.
+fn populate(dir: &Path, dfgs: &[Dfg]) -> Vec<Arc<EngineOutcome>> {
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir).unwrap();
+    dfgs.iter()
+        .map(|dfg| engine.map(dfg, &Cgra::square(2)).0)
+        .collect()
+}
+
+/// Flips one payload byte of the record at frame `offset`, in place:
+/// the file keeps its inode, so an engine that has it open sees the
+/// damage.
+fn flip_payload_byte(path: &Path, offset: u64) {
+    use std::io::{Read, Seek, SeekFrom, Write};
+    let mut file = fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(path)
+        .unwrap();
+    let at = SeekFrom::Start(offset + 12 + 20);
+    let mut byte = [0u8];
+    file.seek(at).unwrap();
+    file.read_exact(&mut byte).unwrap();
+    file.seek(at).unwrap();
+    file.write_all(&[byte[0] ^ 0x10]).unwrap();
+}
+
+#[test]
+fn a_reopened_store_counts_every_record_and_decodes_on_the_first_hit() {
+    let dir = TempDir::new("index");
+    let dfgs: Vec<Dfg> = (2..6).map(chain).collect();
+    let solved = populate(dir.path(), &dfgs);
+
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+    assert!(engine.load_warnings().is_empty());
+    let stats = engine.cache_stats();
+    assert_eq!(stats.persistent_entries, dfgs.len(), "one entry per record");
+    assert_eq!(stats.entries, dfgs.len());
+    for (dfg, solved) in dfgs.iter().zip(&solved) {
+        let first = engine.lookup_cached(dfg, &Cgra::square(2)).expect("a hit");
+        assert!(first.cached && first.persistent);
+        assert_eq!(format!("{:?}", first.outcome), format!("{solved:?}"));
+        // The decoded outcome replaced the index entry: later hits share it.
+        let again = engine.lookup_cached(dfg, &Cgra::square(2)).unwrap();
+        assert!(again.persistent);
+        assert!(Arc::ptr_eq(&first.outcome, &again.outcome));
+    }
+    let stats = engine.cache_stats();
+    assert_eq!(stats.persistent_hits, 2 * dfgs.len() as u64);
+    assert_eq!(
+        stats.persistent_entries,
+        dfgs.len(),
+        "decoding keeps provenance"
+    );
+    assert_eq!(stats.misses, 0);
+}
+
+#[test]
+fn a_record_damaged_after_the_open_is_a_miss_on_its_first_hit() {
+    let dir = TempDir::new("late-damage");
+    let cgra = Cgra::square(2);
+    let dfgs: Vec<Dfg> = (3..6).map(chain).collect();
+    let solved = populate(dir.path(), &dfgs);
+
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+    assert!(engine.load_warnings().is_empty());
+    let (index, _) = persist::index_results(dir.path()).unwrap();
+    let victim = engine.key(&dfgs[1], &cgra);
+    flip_payload_byte(&dir.results_file(), index[&victim].offset());
+
+    assert!(
+        engine.lookup_keyed(victim).is_none(),
+        "a record that no longer verifies is never served"
+    );
+    assert_eq!(
+        engine.cache_stats().persistent_entries,
+        2,
+        "and leaves the cache"
+    );
+    let served = engine.map_with_deadline(&dfgs[1], &cgra, None);
+    assert!(!served.cached, "the miss re-solves");
+    assert_eq!(timeless(&served.outcome), timeless(&solved[1]));
+    assert!(engine.lookup_keyed(victim).is_some_and(|s| !s.persistent));
+    for k in [0, 2] {
+        let served = engine.map_with_deadline(&dfgs[k], &cgra, None);
+        assert!(served.persistent, "chain{} still hits", k + 3);
+        assert_eq!(format!("{:?}", served.outcome), format!("{:?}", solved[k]));
+    }
+    let stats = engine.cache_stats();
+    assert_eq!((stats.misses, stats.persistent_hits), (1, 2));
+}
+
+#[test]
+fn the_first_record_for_a_duplicate_key_wins() {
+    let dir = TempDir::new("duplicate");
+    let dfg = chain(3);
+    let cgra = Cgra::square(2);
+    let solved = populate(dir.path(), std::slice::from_ref(&dfg));
+    let key = Engine::new(EngineConfig::default()).key(&dfg, &cgra);
+    let mut later = (*solved[0]).clone();
+    later.outcome.elapsed += std::time::Duration::from_secs(1);
+    let mut appender = Appender::open(&dir.results_file(), StoreKind::Results).unwrap();
+    appender
+        .append(&persist::encode_result_record(key, &later))
+        .unwrap();
+    drop(appender);
+
+    let (eager, warnings) = persist::load_results(dir.path()).unwrap();
+    assert!(warnings.is_empty());
+    assert_eq!(format!("{:?}", eager[&key]), format!("{:?}", solved[0]));
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+    assert_eq!(engine.cache_stats().persistent_entries, 1);
+    let served = engine.lookup_keyed(key).unwrap();
+    assert_eq!(format!("{:?}", served.outcome), format!("{:?}", solved[0]));
+}
+
+// ---------------------------------------------------------------------
+// The scan against the whole-file reader it replaced
+// ---------------------------------------------------------------------
+
+/// The store reader the streaming scan replaced, kept as a test oracle:
+/// the whole file in memory, one frame after another, and the same
+/// checksum-verified resync. Stores under test keep a valid header.
+fn oracle_records(path: &Path) -> (Vec<Vec<u8>>, Vec<String>) {
+    fn verified_at(bytes: &[u8], pos: usize) -> bool {
+        if pos > bytes.len() || bytes.len() - pos < 12 {
+            return false;
+        }
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
+        let body = pos + 12;
+        if len > 64 << 20 || bytes.len() - body < len as usize {
+            return false;
+        }
+        persist::checksum(&bytes[body..body + len as usize]) == sum
+    }
+    let scan_for_record =
+        |bytes: &[u8], from: usize| (from..bytes.len()).find(|&pos| verified_at(bytes, pos));
+    let bytes = fs::read(path).unwrap();
+    let mut warnings = Vec::new();
+    let mut records = Vec::new();
+    let mut pos = 16;
+    let mut index = 0usize;
+    let path = path.display();
+    while pos < bytes.len() {
+        if bytes.len() - pos < 12 {
+            warnings.push(format!(
+                "{path}: truncated record header at offset {pos} (interrupted append?); \
+                 dropping tail"
+            ));
+            break;
+        }
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
+        let body = pos + 12;
+        if len > 64 << 20 || bytes.len() - body < len as usize {
+            match scan_for_record(&bytes, pos + 1) {
+                Some(next) => {
+                    warnings.push(format!(
+                        "{path}: record {index} at offset {pos} claims {len} bytes (torn \
+                         append?); resynced at the next verified record, offset {next}"
+                    ));
+                    pos = next;
+                    index += 1;
+                    continue;
+                }
+                None => {
+                    warnings.push(format!(
+                        "{path}: record {index} at offset {pos} claims {len} bytes but only {} \
+                         remain and no later record verifies; dropping tail",
+                        bytes.len() - body
+                    ));
+                    break;
+                }
+            }
+        }
+        let payload = &bytes[body..body + len as usize];
+        if persist::checksum(payload) != sum {
+            let next = body + len as usize;
+            if next == bytes.len() || verified_at(&bytes, next) {
+                warnings.push(format!(
+                    "{path}: record {index} at offset {pos} fails its checksum; skipped"
+                ));
+                pos = next;
+                index += 1;
+                continue;
+            }
+            match scan_for_record(&bytes, pos + 1) {
+                Some(next) => {
+                    warnings.push(format!(
+                        "{path}: record {index} at offset {pos} fails its checksum and its \
+                         length prefix is untrustworthy; resynced at the next verified \
+                         record, offset {next}"
+                    ));
+                    pos = next;
+                    index += 1;
+                    continue;
+                }
+                None => {
+                    warnings.push(format!(
+                        "{path}: record {index} at offset {pos} fails its checksum and no \
+                         later record verifies; dropping tail"
+                    ));
+                    break;
+                }
+            }
+        }
+        records.push(payload.to_vec());
+        pos = body + len as usize;
+        index += 1;
+    }
+    (records, warnings)
+}
+
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// An outcome whose record is larger than the scan's read buffer.
+fn oversized_outcome(like: &EngineOutcome) -> EngineOutcome {
+    let mut outcome = like.clone();
+    outcome.outcome.result = Err(satmapit_core::MapFailure::Internal("x".repeat(300_000)));
+    outcome
+}
+
+/// A results store in `dir` several scan buffers long: the real records
+/// of four chains, then `padding` records under random keys cycling
+/// through them — one of them oversized — and a duplicate key. Returns
+/// the store's path.
+fn padded_store(dir: &Path, padding: usize, seed: u64) -> PathBuf {
+    let dfgs: Vec<Dfg> = (3..7).map(chain).collect();
+    let mut outcomes: Vec<EngineOutcome> = populate(dir, &dfgs)
+        .iter()
+        .map(|outcome| (**outcome).clone())
+        .collect();
+    outcomes.push(oversized_outcome(&outcomes[0]));
+    let path = dir.join(persist::RESULTS_FILE);
+    let mut appender = Appender::open(&path, StoreKind::Results).unwrap();
+    let mut state = seed | 1;
+    let mut keys = Vec::new();
+    for k in 0..padding {
+        let key = Fingerprint(u128::from(xorshift(&mut state)) << 64 | u128::from(k as u64));
+        let outcome = &outcomes[if k == padding / 2 { 4 } else { k % 4 }];
+        appender
+            .append(&persist::encode_result_record(key, outcome))
+            .unwrap();
+        keys.push(key);
+    }
+    // A later record for an earlier key: the first one must win.
+    appender
+        .append(&persist::encode_result_record(keys[1], &outcomes[3]))
+        .unwrap();
+    path
+}
+
+/// Holds the engine's lazy answers, the eager loader and the scan to the
+/// oracle on the store in `dir`: the same records, the same warnings
+/// (text and count), and for every key the same outcome.
+fn assert_lazy_matches_eager(dir: &Path) {
+    let path = dir.join(persist::RESULTS_FILE);
+    let (oracle, oracle_warnings) = oracle_records(&path);
+    let (records, warnings) = persist::read_records(&path, StoreKind::Results).unwrap();
+    assert_eq!(warnings, oracle_warnings);
+    assert!(
+        records == oracle,
+        "the scan keeps exactly the oracle's records"
+    );
+
+    let (eager, eager_warnings) = persist::load_results(dir).unwrap();
+    assert_eq!(eager_warnings, oracle_warnings);
+    let mut expected = std::collections::HashMap::new();
+    for payload in &oracle {
+        let (key, outcome) = persist::decode_result_record(payload).unwrap();
+        expected
+            .entry(key)
+            .or_insert_with(|| format!("{outcome:?}"));
+    }
+    assert_eq!(eager.len(), expected.len());
+
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir).unwrap();
+    assert_eq!(engine.load_warnings(), oracle_warnings.as_slice());
+    assert_eq!(engine.cache_stats().persistent_entries, expected.len());
+    for (key, outcome) in &expected {
+        assert_eq!(&format!("{:?}", eager[key]), outcome, "eager {key}");
+        let served = engine.lookup_keyed(*key).expect("every key hits");
+        assert!(served.persistent);
+        assert_eq!(&format!("{:?}", served.outcome), outcome, "lazy {key}");
+    }
+    // Nothing was appended: dropping the engine leaves the store as it is.
+    std::mem::forget(engine);
+}
+
+/// The frame offsets of a store, walked by their (intact) length
+/// prefixes.
+fn frame_offsets(path: &Path) -> Vec<usize> {
+    let bytes = fs::read(path).unwrap();
+    let mut offsets = Vec::new();
+    let mut pos = 16;
+    while pos + 12 <= bytes.len() {
+        offsets.push(pos);
+        pos += 12 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+    }
+    offsets
+}
+
+#[test]
+fn lazy_answers_equal_the_eager_decode_on_intact_and_damaged_stores() {
+    let source = TempDir::new("differential");
+    let path = padded_store(source.path(), 1200, 7);
+    let pristine = fs::read(&path).unwrap();
+    let offsets = frame_offsets(&path);
+    assert!(pristine.len() > 4 * (128 << 10), "several scan buffers");
+    let middle = offsets[offsets.len() / 3];
+
+    let damaged: Vec<(&str, Vec<u8>)> = vec![
+        ("intact", pristine.clone()),
+        ("torn-tail", {
+            let last = *offsets.last().unwrap();
+            pristine[..last + (pristine.len() - last) / 2].to_vec()
+        }),
+        ("flipped-length", {
+            let mut bytes = pristine.clone();
+            bytes[middle] ^= 0x08;
+            bytes
+        }),
+        ("bad-checksum", {
+            let mut bytes = pristine.clone();
+            bytes[middle + 12 + 30] ^= 0x40;
+            bytes
+        }),
+    ];
+    for (tag, bytes) in damaged {
+        let dir = TempDir::new(tag);
+        fs::write(dir.results_file(), &bytes).unwrap();
+        assert_lazy_matches_eager(dir.path());
+        if tag != "intact" {
+            let (_, warnings) = oracle_records(&dir.results_file());
+            assert_eq!(warnings.len(), 1, "{tag}: {warnings:?}");
+        }
+    }
+}
+
+/// Random damage anywhere past the header — flipped bytes, cut tails,
+/// inserted garbage, zeroed and repeated runs — across buffer
+/// boundaries: the scan must keep exactly the oracle's records and say
+/// exactly the oracle's warnings.
+#[test]
+fn the_scan_agrees_with_the_whole_file_reader_on_random_damage() {
+    let source = TempDir::new("random-damage");
+    let path = padded_store(source.path(), 700, 11);
+    let pristine = fs::read(&path).unwrap();
+    let dir = TempDir::new("random-damage-copy");
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for round in 0..40 {
+        let mut bytes = pristine.clone();
+        for _ in 0..1 + xorshift(&mut state) % 3 {
+            let at = 16 + (xorshift(&mut state) as usize) % (bytes.len() - 16);
+            match xorshift(&mut state) % 5 {
+                0 => bytes[at] ^= 1 << (xorshift(&mut state) % 8),
+                1 => bytes.truncate(at),
+                2 => {
+                    let garbage: Vec<u8> = (0..1 + xorshift(&mut state) % 40)
+                        .map(|_| xorshift(&mut state) as u8)
+                        .collect();
+                    bytes.splice(at..at, garbage);
+                }
+                3 => {
+                    let end = (at + 1 + (xorshift(&mut state) as usize) % 2000).min(bytes.len());
+                    bytes[at..end].fill(0);
+                }
+                _ => {
+                    let end = (at + (xorshift(&mut state) as usize) % 3000).min(bytes.len());
+                    let run = bytes[at..end].to_vec();
+                    bytes.splice(at..at, run);
+                }
+            }
+        }
+        let path = dir.results_file();
+        fs::write(&path, &bytes).unwrap();
+        let (oracle, oracle_warnings) = oracle_records(&path);
+        let (records, warnings) = persist::read_records(&path, StoreKind::Results).unwrap();
+        assert_eq!(warnings, oracle_warnings, "round {round}");
+        assert!(records == oracle, "round {round}: records differ");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The committed format-v6 store
+// ---------------------------------------------------------------------
+
+/// The kernels the committed v6 fixture store holds, all at 2x2.
+const FIXTURE_KERNELS: [&str; 3] = ["srand", "basicmath", "sha"];
+
+fn fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v6")
+}
+
+/// Writes `tests/fixtures/v6`. The committed files were written by the
+/// format-v6 engine and are the gate that later readers still serve
+/// them: never rerun this after a format change, or the fixture stops
+/// pinning v6. Run with `cargo test -p satmapit-engine --test persist
+/// -- --ignored write_the_v6_fixture`.
+#[test]
+#[ignore = "writes the committed fixture"]
+fn write_the_v6_fixture() {
+    let dir = fixture_dir();
+    let _ = fs::remove_dir_all(&dir);
+    let engine = Engine::with_cache_dir(EngineConfig::default(), &dir).unwrap();
+    for name in FIXTURE_KERNELS {
+        let kernel = satmapit_kernels::by_name(name).expect("suite kernel");
+        let (outcome, cached) = engine.map(&kernel.dfg, &Cgra::square(2));
+        assert!(!cached && outcome.ii().is_some(), "{name} maps at 2x2");
+    }
+    engine.compact_persistent().unwrap();
+}
+
+#[test]
+fn the_v6_fixture_reopens_into_the_outcomes_of_a_fresh_solve() {
+    let dir = TempDir::new("v6");
+    for name in [persist::RESULTS_FILE, persist::BOUNDS_FILE] {
+        fs::copy(fixture_dir().join(name), dir.path().join(name)).unwrap();
+    }
+    let engine = Engine::with_cache_dir(EngineConfig::default(), dir.path()).unwrap();
+    assert!(
+        engine.load_warnings().is_empty(),
+        "{:?}",
+        engine.load_warnings()
+    );
+    let stats = engine.cache_stats();
+    assert_eq!(stats.persistent_entries, FIXTURE_KERNELS.len());
+    assert_eq!(stats.bound_entries, FIXTURE_KERNELS.len());
+    let fresh = Engine::new(EngineConfig::default());
+    let cgra = Cgra::square(2);
+    for name in FIXTURE_KERNELS {
+        let dfg = satmapit_kernels::by_name(name).unwrap().dfg;
+        let served = engine.map_with_deadline(&dfg, &cgra, None);
+        assert!(served.persistent, "{name} answers from the fixture");
+        let (solved, _) = fresh.map(&dfg, &cgra);
+        assert_eq!(timeless(&served.outcome), timeless(&solved), "{name}");
+        assert_eq!(
+            engine.proven_bound(&dfg, &cgra),
+            fresh.proven_bound(&dfg, &cgra),
+            "{name}: the fixture's proven bound"
+        );
+    }
+    assert_eq!(engine.cache_stats().misses, 0);
+    // Re-encoding the decoded outcomes gives back the fixture's bytes.
+    engine.compact_persistent().unwrap();
+    for name in [persist::RESULTS_FILE, persist::BOUNDS_FILE] {
+        assert!(
+            fs::read(dir.path().join(name)).unwrap() == fs::read(fixture_dir().join(name)).unwrap(),
+            "{name} compacts back to the fixture's bytes"
+        );
+    }
 }

@@ -14,9 +14,10 @@
 //!   from multiple connections;
 //! * every `map` is decoded in one pass over its bytes
 //!   ([`wire::parse_request`]) and **probed against the result cache on
-//!   the loop** ([`Engine::lookup_cached`], the daemon's one probe
+//!   the loop** ([`Engine::lookup_keyed`], the daemon's one probe
 //!   site): a hit is answered in place with `queue_us: 0` — a
-//!   fingerprint and one map lookup, no worker hand-off;
+//!   fingerprint and one map lookup, no worker hand-off. A miss carries
+//!   the fingerprint on to its worker and its expired answer;
 //! * a miss is **admitted** into a bounded
 //!   earliest-deadline-first queue — a full queue answers `queue full`
 //!   immediately (backpressure) instead of buffering unboundedly, and
@@ -32,7 +33,7 @@
 //!   shutdown hack is gone;
 //! * per-request `timeout_ms` becomes a wall-clock deadline at
 //!   admission and is mapped onto the solver's `SolveLimits` through
-//!   [`Engine::map_with_deadline`]; a miss whose deadline is *already
+//!   [`Engine::map_keyed`]; a miss whose deadline is *already
 //!   expired* at admission (`timeout_ms: 0`) is answered with a timeout
 //!   immediately instead of wasting a queue slot and a worker wakeup (a
 //!   hit was already served by the probe, matching the engine, which
@@ -56,7 +57,7 @@
 
 use crate::json::Json;
 use crate::wire::{self, MapRequest, Request};
-use satmapit_engine::{Engine, EngineConfig, Served};
+use satmapit_engine::{Engine, EngineConfig, Fingerprint, Served};
 use satmapit_net::{Event, Interest, LineConn, LineError, Poller, Token, Waker};
 use satmapit_obs as obs;
 use satmapit_obs::Histogram;
@@ -140,6 +141,9 @@ impl Default for ServerConfig {
 /// An admitted `map` request waiting for (or holding) a worker.
 struct WorkItem {
     request: MapRequest,
+    /// The cache key the loop's probe hashed, so the worker does not
+    /// hash the problem again.
+    key: Fingerprint,
     deadline: Option<Instant>,
     /// When the request entered the queue — its wait until a worker
     /// pops it is reported as `queue_us`, separately from solve time.
@@ -794,14 +798,15 @@ fn admit_map(
     // lookup, so it is answered right here, never queued: no worker
     // wakeup, no completion hand-off, and never shed or timed out ("answer
     // only if you have it already" is exactly what a zero budget asks).
-    if let Some(response) = serve_cached(inner, &request) {
-        return Admission::Immediate(response);
-    }
+    let key = match serve_cached(inner, &request) {
+        Ok(response) => return Admission::Immediate(response),
+        Err(key) => key,
+    };
     // A miss with an expired deadline can only ever produce a timeout:
     // answering it here saves the queue slot, the worker wakeup, and the
     // client's wait behind real work.
     if expired {
-        return Admission::Immediate(expired_response(inner, &request));
+        return Admission::Immediate(expired_response(&request, key));
     }
     let id = request.id;
     // EDF shedding: once the solved-latency histogram has enough
@@ -840,6 +845,7 @@ fn admit_map(
     *next_seq += 1;
     queue.push(WorkItem {
         request,
+        key,
         deadline,
         admitted: Instant::now(),
         seq,
@@ -851,13 +857,15 @@ fn admit_map(
     Admission::Queued
 }
 
-/// Answers `request` from the result cache on the event loop, or `None`
-/// on a miss. A hit reports `queue_us: 0` and records its latency class
-/// and `request` span exactly as a worker-served answer does.
-fn serve_cached(inner: &Inner, request: &MapRequest) -> Option<Json> {
+/// Answers `request` from the result cache on the event loop. A hit
+/// reports `queue_us: 0` and records its latency class and `request` span
+/// exactly as a worker-served answer does; a miss hands back the key it
+/// was looked up under, for the worker and the expired answer to reuse.
+fn serve_cached(inner: &Inner, request: &MapRequest) -> Result<Json, Fingerprint> {
     let traced_from = obs::trace::enabled().then(obs::trace::now_us);
     let t0 = Instant::now();
-    let served = inner.engine.lookup_cached(&request.dfg, &request.cgra)?;
+    let key = inner.engine.key(&request.dfg, &request.cgra);
+    let served = inner.engine.lookup_keyed(key).ok_or(key)?;
     let elapsed_us = t0.elapsed().as_micros() as u64;
     let (class, hist) = latency_class(&inner.latency, &served);
     record_us(hist, elapsed_us);
@@ -883,7 +891,7 @@ fn serve_cached(inner: &Inner, request: &MapRequest) -> Option<Json> {
             ],
         );
     }
-    Some(response)
+    Ok(response)
 }
 
 /// The latency class an engine answer lands in, and its histogram.
@@ -996,9 +1004,12 @@ fn worker_loop(inner: &Inner, waker: &Waker) {
             {
                 panic!("fault injection: request `{}`", item.request.name);
             }
-            inner
-                .engine
-                .map_with_deadline(&item.request.dfg, &item.request.cgra, item.deadline)
+            inner.engine.map_keyed(
+                item.key,
+                &item.request.dfg,
+                &item.request.cgra,
+                item.deadline,
+            )
         }));
         let elapsed = t0.elapsed();
         let elapsed_us = elapsed.as_micros() as u64;
@@ -1249,13 +1260,8 @@ fn health_response(inner: &Inner) -> Json {
 /// `result.status = "failed"`, `kind = "timeout"`), with `at_ii = 0`
 /// marking that no II was ever attempted. Timeouts are never cached, so
 /// skipping the engine changes nothing an observer could distinguish —
-/// except the latency.
-fn expired_response(inner: &Inner, request: &MapRequest) -> Json {
-    let key = satmapit_engine::fingerprint::fingerprint(
-        &request.dfg,
-        &request.cgra,
-        inner.engine.config(),
-    );
+/// except the latency. `key` is the one the cache probe missed under.
+fn expired_response(request: &MapRequest, key: Fingerprint) -> Json {
     let outcome = satmapit_engine::EngineOutcome {
         outcome: satmapit_core::MapOutcome {
             result: Err(satmapit_core::MapFailure::Timeout { at_ii: 0 }),

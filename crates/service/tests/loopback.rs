@@ -445,6 +445,9 @@ fn zero_timeout_is_answered_at_admission_without_a_worker() {
     assert_eq!(result.get("status").and_then(Json::as_str), Some("failed"));
     assert_eq!(result.get("kind").and_then(Json::as_str), Some("timeout"));
     assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(false));
+    // The expired answer carries the key the loop's cache probe missed
+    // under: the one the solve below is cached under.
+    let expired_key = reply.get("fingerprint").cloned().expect("fingerprint");
 
     let stats = client.stats().expect("stats");
     assert_eq!(
@@ -467,6 +470,7 @@ fn zero_timeout_is_answered_at_admission_without_a_worker() {
     let reply = client.map(&request).expect("map roundtrip");
     let result = reply.get("result").expect("result");
     assert_eq!(result.get("status").and_then(Json::as_str), Some("mapped"));
+    assert_eq!(reply.get("fingerprint"), Some(&expired_key));
 
     // Once the answer is cached, a zero budget gets it anyway: "answer
     // only if you already have it" must not regress to a reflexive
